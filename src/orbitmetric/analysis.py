@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,23 +92,6 @@ def _verdict(score: float, threshold: float) -> str:
     if score >= 10 * threshold:
         return VERDICT_VIOLATED
     return VERDICT_INCONCLUSIVE
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("ORBITMETRIC_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items: list) -> list:
-    """Apply fn over items, optionally threaded, output order fixed."""
-    workers = _worker_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +225,7 @@ def continuity_modulus(system: _systems.System, delta: float, pair_samples: int,
         est = ebar_estimate(system, pair[0], pair[1], schedule)
         return system.dist(pair[0], pair[1]), est.tail_sup
 
-    results = _map_ordered(one, pairs)
+    results = [one(pair) for pair in pairs]
     score = 0.0
     for i, (pair, (d0, tail)) in enumerate(zip(pairs, results)):
         report.observations.append({"pair": i, "dist": d0, "ebar_tail": tail})
@@ -278,7 +259,7 @@ def empirical_equicontinuity(system: _systems.System, delta: float,
                           empirical_measure(seg_y.prefix(n)), system)
                 for n in n_list]
 
-    results = _map_ordered(one, pairs)
+    results = [one(pair) for pair in pairs]
     score = 0.0
     for i, (pair, rhos) in enumerate(zip(pairs, results)):
         d0 = system.dist(pair[0], pair[1])
@@ -319,7 +300,7 @@ def unique_ergodicity_diagnostic(system: _systems.System, point_samples: int,
         i, j = ij
         return ebar_estimate(system, points[i], points[j], schedule).tail_sup
 
-    tails = _map_ordered(one, indexed)
+    tails = [one(ij) for ij in indexed]
     score = 0.0
     for (i, j), tail in zip(indexed, tails):
         report.observations.append({"i": i, "j": j, "ebar_tail": tail})
@@ -453,7 +434,7 @@ def birkhoff_profile(system: _systems.System, observable: str,
         vals = observable_values(system, seg, observable)
         return np.concatenate([[0.0], np.cumsum(vals)])
 
-    csums = _map_ordered(one, points)
+    csums = [one(p) for p in points]
     spread_last = 0.0
     for n in schedule.checkpoints:
         avgs = np.array([cs[n] / n for cs in csums])
@@ -515,7 +496,7 @@ def mean_equicontinuity_diagnostic(system: _systems.System, delta: float,
         prod_tail = ebar_estimate(prod, (x, y), (x, x), schedule).tail_sup
         return bes, weyl, prod_tail
 
-    results = _map_ordered(one, pairs)
+    results = [one(pair) for pair in pairs]
     score = 0.0
     for i, (pair, (bes, weyl, prod_tail)) in enumerate(zip(pairs, results)):
         report.observations.append({
@@ -549,7 +530,7 @@ def en_equicontinuity_diagnostic(system: _systems.System, delta: float,
     def one(pair):
         return [ebar_n(system, pair[0], pair[1], n) for n in n_list]
 
-    results = _map_ordered(one, pairs)
+    results = [one(pair) for pair in pairs]
     score = 0.0
     for i, (pair, vals) in enumerate(zip(pairs, results)):
         d0 = system.dist(pair[0], pair[1])

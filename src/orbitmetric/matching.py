@@ -2,14 +2,14 @@
 
 ``min_cost_assignment`` runs scipy's compiled shortest-augmenting-path
 solver, ``brute_force_assignment`` is the independent enumeration oracle for
-small n, ``max_matching_under_threshold`` runs Hopcroft-Karp on the
-admissible-edge graph, and ``birkhoff_decompose`` peels a bistochastic matrix
-into a convex combination of permutations.
+small n.  ``max_matching_under_threshold`` and ``birkhoff_decompose`` need a
+maximum matching on a 0/1 mask; they get it from the same solver run on 0/1
+costs, and ``birkhoff_decompose`` peels a bistochastic matrix into a convex
+combination of permutations.
 """
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,70 +108,17 @@ def brute_force_assignment(cost) -> tuple[Permutation, float]:
     return Permutation(best_perm), float(best)
 
 
-def _hopcroft_karp(adj: list[list[int]], n_left: int, n_right: int) -> tuple[int, list[int]]:
-    """Maximum bipartite matching size plus the left-to-right match array.
+def _mask_matching(mask: np.ndarray) -> tuple[int, np.ndarray]:
+    """Maximum matching size on a square 0/1 mask, plus a row-to-column map.
 
-    Phased BFS/DFS (Hopcroft-Karp).  The DFS is iterative so deep augmenting
-    paths cannot hit the recursion limit.
+    A minimum-cost assignment on costs 0 (edge) and 1 (non-edge) uses as many
+    edges as possible, so the matching size is n minus its cost
+    (König-Egerváry).  When the size is n, the map is a perfect matching on
+    the mask.
     """
-    INF = n_left + n_right + 1
-    match_l = [-1] * n_left
-    match_r = [-1] * n_right
-    dist = [0] * n_left
-    size = 0
-    while True:
-        queue = deque()
-        for i in range(n_left):
-            if match_l[i] == -1:
-                dist[i] = 0
-                queue.append(i)
-            else:
-                dist[i] = INF
-        found = False
-        while queue:
-            i = queue.popleft()
-            for j in adj[i]:
-                k = match_r[j]
-                if k == -1:
-                    found = True
-                elif dist[k] == INF:
-                    dist[k] = dist[i] + 1
-                    queue.append(k)
-        if not found:
-            return size, match_l
-        for start in range(n_left):
-            if match_l[start] != -1:
-                continue
-            # stack holds (left node, open column iterator); via[t] is the
-            # column used to descend from stack[t] to stack[t+1]
-            stack = [(start, iter(adj[start]))]
-            via: list[int] = []
-            while stack:
-                i, it = stack[-1]
-                advanced = False
-                for j in it:
-                    k = match_r[j]
-                    if k == -1:
-                        via.append(j)
-                        for (node, _), col in zip(stack, via):
-                            match_l[node] = col
-                            match_r[col] = node
-                        size += 1
-                        stack = []
-                        advanced = True
-                        break
-                    if dist[k] == dist[i] + 1:
-                        via.append(j)
-                        stack.append((k, iter(adj[k])))
-                        advanced = True
-                        break
-                if not advanced:
-                    # only a vertex whose whole subtree failed goes dead;
-                    # levels must stay readable while it sits on the stack
-                    dist[i] = INF
-                    stack.pop()
-                    if via:
-                        via.pop()
+    A = (~mask).astype(np.float64)
+    rows, cols = linear_sum_assignment(A)
+    return mask.shape[0] - int(A[rows, cols].sum()), cols
 
 
 def max_matching_under_threshold(cost, delta: float) -> int:
@@ -179,20 +126,8 @@ def max_matching_under_threshold(cost, delta: float) -> int:
     C = _cost_entries(cost)
     if delta < 0:
         raise ValueError("threshold must be non-negative")
-    n = C.shape[0]
-    mask = C <= delta
-    adj = [np.flatnonzero(mask[i]).tolist() for i in range(n)]
-    size, _ = _hopcroft_karp(adj, n, n)
+    size, _ = _mask_matching(C <= delta)
     return size
-
-
-def _support_perfect_matching(mask: np.ndarray) -> list[int] | None:
-    n = mask.shape[0]
-    adj = [np.flatnonzero(mask[i]).tolist() for i in range(n)]
-    size, match_l = _hopcroft_karp(adj, n, n)
-    if size < n:
-        return None
-    return match_l
 
 
 def birkhoff_decompose(matrix) -> ConvexDecomposition:
@@ -221,15 +156,14 @@ def birkhoff_decompose(matrix) -> ConvexDecomposition:
         R[R < PEEL_CLAMP] = 0.0
         if not R.any():
             break
-        match = _support_perfect_matching(R > 0.0)
-        if match is None:
+        size, cols = _mask_matching(R > 0.0)
+        if size < n:
             raise DecompositionFailureError(
                 "residual support admits no perfect matching")
         rows = np.arange(n)
-        cols = np.asarray(match)
         w = float(R[rows, cols].min())
         weights.append(w)
-        perms.append(Permutation(tuple(int(c) for c in cols)))
+        perms.append(Permutation(tuple(cols.tolist())))
         R[rows, cols] -= w
     else:
         raise DecompositionFailureError("peeling did not terminate in the term bound")

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitmetric import (
+    DecompositionFailureError,
     NotBistochasticError,
     SizeLimitError,
     birkhoff_decompose,
@@ -150,6 +151,24 @@ def test_threshold_matching_deep_augmenting_paths():
     assert max_matching_under_threshold(C, 0.5) == 5
 
 
+def test_threshold_matching_deficient_known_size():
+    # rows i < m own the edge (i, p(i)); every edge lands in the m columns
+    # p[:m], so no matching exceeds m and the planted one reaches it
+    rng = np.random.default_rng(18)
+    for _ in range(20):
+        n = int(rng.integers(50, 301))
+        m = int(rng.integers(0, n + 1))
+        p = rng.permutation(n)
+        mask = np.zeros((n, n), dtype=bool)
+        mask[np.arange(m), p[:m]] = True
+        if m:
+            extra = rng.integers(0, m, size=(n, 3))
+            mask[np.arange(n)[:, None], p[extra]] = True
+        got = max_matching_under_threshold(np.where(mask, 0.0, 1.0), 0.5)
+        assert type(got) is int
+        assert got == m
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**31 - 1))
 def test_threshold_matching_monotone_in_delta(n, seed):
@@ -217,3 +236,10 @@ def test_birkhoff_rejects_non_bistochastic():
         birkhoff_decompose(np.array([[0.6, 0.3], [0.4, 0.7]]))
     with pytest.raises(NotBistochasticError):
         birkhoff_decompose(np.array([[1.0, 0.0], [0.5, 0.5]]))
+
+
+def test_birkhoff_residual_without_perfect_matching():
+    # within the row/column tolerance, but after peeling the identity the
+    # residual support is (0, 1) and (1, 1), both in column 1
+    with pytest.raises(DecompositionFailureError, match="no perfect matching"):
+        birkhoff_decompose(np.array([[1 - 5e-7, 5e-7], [0.0, 1.0]]))

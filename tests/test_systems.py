@@ -1,9 +1,11 @@
+import ast
 import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import orbitmetric
 from orbitmetric import (
     BinaryShift,
     CircleRotation,
@@ -272,3 +274,13 @@ def test_product_round_trip_preserves_factors():
     assert isinstance(clone, ProductSystem)
     assert clone.first.kind == "circle_rotation"
     assert clone.second.kind == "doubling_map"
+
+
+def test_all_lists_every_public_import():
+    with open(orbitmetric.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = {alias.asname or alias.name
+                for node in tree.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names if not alias.name.startswith("_")}
+    assert len(orbitmetric.__all__) == len(set(orbitmetric.__all__))
+    assert set(orbitmetric.__all__) == imported | {"__version__"}
