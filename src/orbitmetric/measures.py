@@ -212,21 +212,27 @@ def wasserstein1_fast_1d(mu: DiscreteMeasure, nu: DiscreteMeasure,
 
 def _w1_line(u: np.ndarray, uw: np.ndarray, v: np.ndarray, vw: np.ndarray) -> float:
     pts = np.concatenate([u, v])
-    signed = np.concatenate([uw, -vw])
     order = np.argsort(pts, kind="stable")
-    pts = pts[order]
-    cdf_diff = np.cumsum(signed[order])[:-1]
-    return float(np.abs(cdf_diff) @ np.diff(pts))
+    return _sorted_w1(_systems.GEOMETRY_LINE, pts[order],
+                      np.concatenate([uw, -vw])[order])
 
 
 def _w1_circle(u: np.ndarray, uw: np.ndarray, v: np.ndarray, vw: np.ndarray) -> float:
-    if (u < 0).any() or (u >= 1).any() or (v < 0).any() or (v >= 1).any():
-        raise ValueError("circle atoms must lie in [0, 1)")
     pts = np.concatenate([u, v])
-    signed = np.concatenate([uw, -vw])
     order = np.argsort(pts, kind="stable")
-    pts = pts[order]
-    g = np.cumsum(signed[order])
+    return _sorted_w1(_systems.GEOMETRY_CIRCLE, pts[order],
+                      np.concatenate([uw, -vw])[order])
+
+
+def _sorted_w1(geometry: str, pts: np.ndarray, signed: np.ndarray) -> float:
+    """W1 on the line or circle from the merged atoms of both measures in
+    ascending order, with mu's weights positive and nu's negative."""
+    if geometry == _systems.GEOMETRY_LINE:
+        cdf_diff = np.cumsum(signed)[:-1]
+        return float(np.abs(cdf_diff) @ np.diff(pts))
+    if pts[0] < 0 or pts[-1] >= 1:
+        raise ValueError("circle atoms must lie in [0, 1)")
+    g = np.cumsum(signed)
     lengths = np.empty_like(pts)
     lengths[:-1] = np.diff(pts)
     lengths[-1] = 1.0 - pts[-1] + pts[0]  # wrap segment, g there is ~0

@@ -16,7 +16,9 @@ import numpy as np
 from . import matching
 from . import systems as _systems
 from .errors import SizeLimitError
-from .measures import Schedule, _w1_circle, _w1_line
+from .measures import Schedule, _sorted_w1
+# unused here; orbitbench's tracer wraps these two names in this module
+from .measures import _w1_circle, _w1_line  # noqa: F401
 
 # exact assignment builds a dense n x n float64 cost matrix (32 MB at the cap)
 # for the compiled solver; beyond this the closed-form routes are the only ones
@@ -92,39 +94,50 @@ def _ordered_segments(system: _systems.System, x, y, n: int):
     return seg_x, seg_y
 
 
-def _fast_w1(geometry: str, xs: np.ndarray, ys: np.ndarray) -> float:
-    n = len(xs)
-    w = np.full(n, 1.0 / n)
-    if geometry == _systems.GEOMETRY_CIRCLE:
-        return _w1_circle(xs, w, ys, w)
-    return _w1_line(xs, w, ys, w)
+def _fast_values(system: _systems.System, seg_x: _systems.OrbitSegment,
+                 seg_y: _systems.OrbitSegment, checkpoints) -> list[float]:
+    """ebar_n for each checkpoint n (increasing, the last one the segment
+    length) from one sort (line, circle) or one encoding (shift) of the
+    full segments.
 
+    1-d: a stable order restricted to a prefix is the prefix's own stable
+    order, so filtering the full sort reproduces each fresh W1 exactly.
 
-def _w1_shift_total(system: _systems.System, seg_x: _systems.OrbitSegment,
-                    seg_y: _systems.OrbitSegment) -> float:
-    """n * W1 between the two window empiricals, by cylinder counting.
-
-    The window metric is an ultrametric, so the transport optimum has the
-    closed tree form: every length-k cylinder contributes its occupancy
-    imbalance times that level's edge length.  The matching identity makes
-    this equal to the minimum assignment total.  All counts are integers and
-    all lengths are dyadic, so the accumulation below is exact.
+    Shift: n * W1 between the window empiricals by cylinder counting.  The
+    window metric is an ultrametric, so the transport optimum has the closed
+    tree form: every length-k cylinder contributes its occupancy imbalance
+    times that level's edge length.  The matching identity makes this equal
+    to the minimum assignment total.  All counts are integers and all
+    lengths are dyadic, so the accumulation below is exact.
     """
+    N = seg_x.length
+    if system.geometry != _systems.GEOMETRY_SHIFT:
+        pts = np.concatenate([seg_x.data, seg_y.data])
+        pos = np.argsort(pts, kind="stable")
+        pts = pts[pos]
+        is_x = pos < N
+        pos %= N
+        values = []
+        for n in reversed(checkpoints):
+            keep = pos < n
+            pts, is_x, pos = pts[keep], is_x[keep], pos[keep]
+            w = 1.0 / n
+            values.append(_sorted_w1(system.geometry, pts, np.where(is_x, w, -w)))
+        return values[::-1]
     K = system.horizon
-    n = seg_x.length
-    dx, dy = seg_x.data, seg_y.data
-    enc_x = np.zeros(n, dtype=np.int64)
-    enc_y = np.zeros(n, dtype=np.int64)
-    total_units = 0  # in units of 2**-K
+    # interleaved rows x_0, y_0, x_1, y_1, ...: a length-n prefix is the
+    # first 2n entries, and the signs alternate
+    symbols = np.stack([seg_x.data, seg_y.data], axis=1)
+    enc = np.zeros((N, 2), dtype=np.int64)
+    signs = np.tile([1.0, -1.0], N)
+    units = [0] * len(checkpoints)  # in units of 2**-K
     for k in range(1, K + 1):
-        enc_x = enc_x * 2 + dx[k - 1:k - 1 + n]
-        enc_y = enc_y * 2 + dy[k - 1:k - 1 + n]
-        both = np.concatenate([enc_x, enc_y])
-        _, inverse = np.unique(both, return_inverse=True)
-        signs = np.concatenate([np.ones(n), -np.ones(n)])
-        imbalance = int(np.abs(np.bincount(inverse, weights=signs)).sum())
-        total_units += imbalance << (K - k if k == K else K - k - 1)
-    return float(total_units) * 2.0 ** -K
+        enc = enc * 2 + symbols[k - 1:k - 1 + N]
+        _, codes = np.unique(enc.ravel(), return_inverse=True)
+        for i, n in enumerate(checkpoints):
+            counts = np.bincount(codes[:2 * n], weights=signs[:2 * n])
+            units[i] += int(np.abs(counts).sum()) << (K - k if k == K else K - k - 1)
+    return [float(u) * 2.0 ** -K / n for u, n in zip(units, checkpoints)]
 
 
 def _resolve_method(system: _systems.System, n: int, method: str) -> str:
@@ -157,9 +170,7 @@ def ebar_n(system: _systems.System, x, y, n: int, method: str = "auto") -> float
     route = _resolve_method(system, n, method)
     seg_x, seg_y = _ordered_segments(system, x, y, n)
     if route == "fast":
-        if system.geometry == _systems.GEOMETRY_SHIFT:
-            return _w1_shift_total(system, seg_x, seg_y) / n
-        return _fast_w1(system.geometry, seg_x.data, seg_y.data)
+        return _fast_values(system, seg_x, seg_y, (n,))[0]
     C = _systems.cost_matrix(seg_x, seg_y)
     _, total = matching.min_cost_assignment(C)
     return total / n
@@ -171,21 +182,12 @@ def ebar_estimate(system: _systems.System, x, y, schedule: Schedule,
     n_max = schedule.max_n
     route = _resolve_method(system, n_max, method)
     seg_x, seg_y = _ordered_segments(system, x, y, n_max)
-    values = []
     if route == "fast":
-        if system.geometry == _systems.GEOMETRY_SHIFT:
-            for n in schedule.checkpoints:
-                values.append(_w1_shift_total(
-                    system, seg_x.prefix(n), seg_y.prefix(n)) / n)
-        else:
-            for n in schedule.checkpoints:
-                values.append(_fast_w1(system.geometry,
-                                       seg_x.data[:n], seg_y.data[:n]))
+        values = _fast_values(system, seg_x, seg_y, schedule.checkpoints)
     else:
         C = _systems.cost_matrix(seg_x, seg_y).entries
-        for n in schedule.checkpoints:
-            _, total = matching.min_cost_assignment(C[:n, :n])
-            values.append(total / n)
+        values = [matching.min_cost_assignment(C[:n, :n])[1] / n
+                  for n in schedule.checkpoints]
     return _tail_estimate(schedule, values)
 
 

@@ -9,9 +9,13 @@ Systems on offer:
   first-disagreement metric ``2**-k`` truncated below ``2**-horizon``.
 * ``product_system(a, b)`` with the max metric on pairs.
 
-Orbit states are generated as exactly as double precision permits: rotations
-use integer arithmetic on dyadic rationals (no accumulated drift), doubling
-and tent accept ``fractions.Fraction`` bases for exact rational orbits, and
+Orbit states are generated as exactly as double precision permits.  A
+rotation state is (x + k*alpha) mod 1 computed exactly over the common
+denominator ``den`` of base and angle and rounded once: in masked uint64
+arithmetic when ``den`` is a power of two <= 2**64 (every float base and
+angle from 2**-12 up), otherwise by stepping a Python integer.  A state that
+rounds up to 1.0 wraps to 0.0, the same point of the circle.  Doubling and
+tent accept ``fractions.Fraction`` bases for exact rational orbits, and
 shifts are exact by construction.  The logistic map is iterated in plain
 double precision; its orbits are shadowing-free approximations and any
 diagnostic built on them is qualitative by nature.
@@ -101,8 +105,8 @@ class ShiftPoint:
                 f"point defines {len(self.prefix)} symbols, {count} requested"
             )
         reps = -(-(count - len(self.prefix)) // len(self.tail))
-        full = self.prefix + self.tail * reps
-        return np.asarray(full[:count], dtype=np.uint8)
+        tail = np.tile(np.asarray(self.tail, dtype=np.uint8), reps)
+        return np.concatenate([np.asarray(self.prefix, dtype=np.uint8), tail])[:count]
 
     def __str__(self) -> str:
         pref = "".join(str(s) for s in self.prefix)
@@ -297,13 +301,22 @@ class CircleRotation(_NumericSystem):
             an, ad = float(self.alpha).as_integer_ratio()
             den = max(xd, ad)  # both are powers of two
             base, inc = xn * (den // xd), an * (den // ad)
-        out = np.empty(n, dtype=np.float64)
-        s = base % den
-        for k in range(n):
-            out[k] = s / den
-            s += inc
-            if s >= den:
-                s -= den
+        if den & (den - 1) == 0 and den <= 2**64:
+            s = np.arange(n, dtype=np.uint64)
+            s *= np.uint64(inc)  # wraps mod 2**64, a multiple of den
+            s += np.uint64(base)
+            s &= np.uint64(den - 1)
+            out = s.astype(np.float64)
+            out /= den
+        else:
+            out = np.empty(n, dtype=np.float64)
+            s = base % den
+            for k in range(n):
+                out[k] = s / den
+                s += inc
+                if s >= den:
+                    s -= den
+        out[out == 1.0] = 0.0  # states within half an ulp below 1 round up
         return out
 
     def pairwise_dist(self, atoms_a, atoms_b) -> np.ndarray:
@@ -386,6 +399,16 @@ class LogisticMap(_IntervalSystem):
     def step(self, p):
         p = float(p)
         return self.r * p * (1.0 - p)
+
+    def _orbit_array(self, x, n: int) -> np.ndarray:
+        p = float(_as_unit_scalar(x, closed_right=True))
+        r = self.r
+        out = np.empty(n, dtype=np.float64)
+        buf = memoryview(out)  # item stores through it are about 2x faster
+        for k in range(n):
+            buf[k] = p
+            p = r * p * (1.0 - p)
+        return out
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "r": self.r}

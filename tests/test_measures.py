@@ -124,6 +124,16 @@ def test_w1_fast_rejects_unknown_geometry():
         wasserstein1_fast_1d(m, m, "plane")
 
 
+def test_w1_fast_circle_rejects_atoms_outside_unit_interval():
+    inside = DiscreteMeasure([0.0, 0.5], [0.5, 0.5])
+    for bad in (1.0, -0.25):
+        outside = DiscreteMeasure([0.5, bad], [0.5, 0.5])
+        for mu, nu in ((inside, outside), (outside, inside)):
+            with pytest.raises(ValueError, match=r"circle atoms must lie in \[0, 1\)"):
+                wasserstein1_fast_1d(mu, nu, GEOMETRY_CIRCLE)
+        assert wasserstein1_fast_1d(inside, outside, GEOMETRY_LINE) >= 0
+
+
 def test_w1_fast_paths_match_linear_program():
     rng = np.random.default_rng(21)
     line, circle = TentMap(), CircleRotation(0.3)

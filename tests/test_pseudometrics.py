@@ -8,6 +8,7 @@ from orbitmetric import (
     BinaryShift,
     CircleRotation,
     DoublingMap,
+    LogisticMap,
     ProductSystem,
     Schedule,
     ShiftPoint,
@@ -17,9 +18,12 @@ from orbitmetric import (
     delta_n,
     ebar_estimate,
     ebar_n,
+    empirical_measure,
     etilde_estimate,
     sample_point,
     sandwich_check,
+    wasserstein1,
+    wasserstein1_fast_1d,
     weyl_profile,
 )
 from orbitmetric.systems import TentMap, cost_matrix
@@ -87,6 +91,36 @@ def test_ebar_estimate_tracks_checkpoints():
         x, y = sample_point(sh, rng), sample_point(sh, rng)
         est = ebar_estimate(sh, x, y, sched)
         assert list(est.values) == [ebar_n(sh, x, y, n) for n in sched.checkpoints]
+
+
+def test_ebar_checkpoints_match_independent_oracle():
+    # one sort / encoding at the largest checkpoint must give what a fresh
+    # computation on each prefix gives: exact assignment for small n, the
+    # closed-form (1-d) or LP (shift) transport between prefix empiricals above
+    rng = np.random.default_rng(94)
+    cases = [
+        (CircleRotation(0.5), 0.25, 0.75),
+        (CircleRotation(0.5), 0.0, 0.5),
+        (CircleRotation(GOLDEN), 0.3, 0.3),
+        (LogisticMap(4.0), 0.0, float(rng.random())),
+        (LogisticMap(3.9), 0.4, 0.4),
+        (LogisticMap(3.9), float(rng.random()), float(rng.random())),
+        (BinaryShift(), ShiftPoint.from_string("", "011"), ShiftPoint.from_string("1", "01")),
+        (BinaryShift(8), ShiftPoint.from_string("0", "0010"), ShiftPoint.from_string("", "1")),
+    ]
+    for system, x, y in cases:
+        sched = Schedule.geometric(400 if system.geometry == "shift" else 3000)
+        est = ebar_estimate(system, x, y, sched)
+        for n, value in zip(sched.checkpoints, est.values):
+            if n <= 60:
+                want = ebar_n(system, x, y, n, method="assignment")
+            else:
+                mu = empirical_measure(system.orbit_segment(x, n))
+                nu = empirical_measure(system.orbit_segment(y, n))
+                want = (wasserstein1(mu, nu, system) if system.geometry == "shift"
+                        else wasserstein1_fast_1d(mu, nu, system.geometry))
+            assert abs(value - want) <= 1e-12, (system, x, y, n)
+            assert ebar_n(system, x, y, n) == value
 
 
 def test_ebar_shifted_start_fades_linearly():

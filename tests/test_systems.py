@@ -17,6 +17,7 @@ from orbitmetric import (
     TentMap,
     build_example31_point,
     cost_matrix,
+    ebar_n,
     product_system,
     system_from_dict,
     system_from_json,
@@ -77,6 +78,65 @@ def test_doubling_fraction_orbit_is_exact():
     assert [seg.point(k) for k in range(4)] == [
         pytest.approx(1 / 3), pytest.approx(2 / 3),
         pytest.approx(1 / 3), pytest.approx(2 / 3)]
+
+
+def _exact_rotation_state(x, alpha, k):
+    v = float((Fraction(x) + k * Fraction(alpha)) % 1)
+    return 0.0 if v == 1.0 else v
+
+
+def test_rotation_orbit_matches_exact_oracle():
+    rng = np.random.default_rng(7)
+    # rng draws and full-mantissa bases (denominators 2**54..2**64) take the
+    # uint64 route; 1e-300, 5e-324 and Fraction(1, 3) take the integer loop
+    bases = [float(rng.random()) for _ in range(4)] + [
+        0.001, 0.1, 0.9999999999999999, 2**-12 + 2**-64, 1e-300, 5e-324, Fraction(1, 3)]
+    alphas = [0.0, 0.5, GOLDEN, float(rng.random()), 0.001, 2**-12 + 2**-64]
+    for alpha in alphas:
+        rot = CircleRotation(alpha)
+        for x in bases:
+            data = rot.orbit_segment(x, 400).data
+            want = [_exact_rotation_state(x, alpha, k) for k in range(400)]
+            assert data.tolist() == want, (alpha, x)
+
+
+def test_rotation_state_rounding_to_one_wraps_to_zero():
+    # the exact second state is 1 - 2**-55, which rounds to 1.0
+    rot = CircleRotation(0.9999999999999999)
+    x = 1.5 * 2**-54
+    data = rot.orbit_segment(x, 3).data
+    assert data.tolist() == [x, 0.0, 0.9999999999999999]
+    assert rot.step(x) == 0.0
+    assert ((data >= 0) & (data < 1)).all()
+    assert ebar_n(rot, x, 0.25, 3) == ebar_n(rot, x, 0.25, 3, method="assignment")
+
+
+def test_logistic_orbit_matches_iterated_step():
+    rng = np.random.default_rng(8)
+    for r in (3.7, 3.9, 4.0):
+        logistic = LogisticMap(r)
+        for x in (0.0, 1.0, float(rng.random())):
+            want, p = [], x
+            for _ in range(500):
+                want.append(p)
+                p = logistic.step(p)
+            assert logistic.orbit_segment(x, 500).data.tolist() == want
+
+
+def test_shift_symbols_match_symbol():
+    rng = np.random.default_rng(9)
+    for tail_len in range(1, 9):
+        prefix = tuple(int(s) for s in rng.integers(0, 2, int(rng.integers(0, 12))))
+        tail = tuple(int(s) for s in rng.integers(0, 2, tail_len))
+        p = ShiftPoint(prefix, tail)
+        for count in range(0, len(prefix) + 3 * tail_len + 2):
+            got = p.symbols(count)
+            assert got.dtype == np.uint8
+            assert got.tolist() == [p.symbol(k) for k in range(count)]
+        finite = ShiftPoint(prefix, None)
+        assert finite.symbols(len(prefix)).tolist() == list(prefix)
+        with pytest.raises(InsufficientTailError):
+            finite.symbols(len(prefix) + 1)
 
 
 def test_orbit_rejects_nonpositive_length():
