@@ -220,14 +220,10 @@ def continuity_modulus(system: _systems.System, delta: float, pair_samples: int,
         return report
     rng = np.random.default_rng(seed)
     pairs = _close_pairs(system, delta, pair_samples, rng)
-
-    def one(pair):
-        est = ebar_estimate(system, pair[0], pair[1], schedule)
-        return system.dist(pair[0], pair[1]), est.tail_sup
-
-    results = [one(pair) for pair in pairs]
     score = 0.0
-    for i, (pair, (d0, tail)) in enumerate(zip(pairs, results)):
+    for i, pair in enumerate(pairs):
+        d0 = system.dist(pair[0], pair[1])
+        tail = ebar_estimate(system, pair[0], pair[1], schedule).tail_sup
         report.observations.append({"pair": i, "dist": d0, "ebar_tail": tail})
         score = max(score, tail)
         if tail >= 10 * threshold:
@@ -251,17 +247,13 @@ def empirical_equicontinuity(system: _systems.System, delta: float,
     rng = np.random.default_rng(seed)
     pairs = _close_pairs(system, delta, pair_samples, rng)
     n_max = max(n_list)
-
-    def one(pair):
+    score = 0.0
+    for i, pair in enumerate(pairs):
         seg_x = system.orbit_segment(pair[0], n_max)
         seg_y = system.orbit_segment(pair[1], n_max)
-        return [prokhorov(empirical_measure(seg_x.prefix(n)),
+        rhos = [prokhorov(empirical_measure(seg_x.prefix(n)),
                           empirical_measure(seg_y.prefix(n)), system)
                 for n in n_list]
-
-    results = [one(pair) for pair in pairs]
-    score = 0.0
-    for i, (pair, rhos) in enumerate(zip(pairs, results)):
         d0 = system.dist(pair[0], pair[1])
         for n, r in zip(n_list, rhos):
             report.observations.append({"pair": i, "dist": d0, "n": n, "rho": r})
@@ -295,14 +287,9 @@ def unique_ergodicity_diagnostic(system: _systems.System, point_samples: int,
     while len(points) < point_samples:
         points.append(sample_point(system, rng))
     indexed = [(i, j) for i in range(len(points)) for j in range(i + 1, len(points))]
-
-    def one(ij):
-        i, j = ij
-        return ebar_estimate(system, points[i], points[j], schedule).tail_sup
-
-    tails = [one(ij) for ij in indexed]
     score = 0.0
-    for (i, j), tail in zip(indexed, tails):
+    for i, j in indexed:
+        tail = ebar_estimate(system, points[i], points[j], schedule).tail_sup
         report.observations.append({"i": i, "j": j, "ebar_tail": tail})
         score = max(score, tail)
         if tail >= 10 * threshold:
@@ -428,13 +415,10 @@ def birkhoff_profile(system: _systems.System, observable: str,
     while len(points) < point_samples:
         points.append(sample_point(system, rng))
     n_max = schedule.max_n
-
-    def one(p):
-        seg = system.orbit_segment(p, n_max)
-        vals = observable_values(system, seg, observable)
-        return np.concatenate([[0.0], np.cumsum(vals)])
-
-    csums = [one(p) for p in points]
+    csums = []
+    for p in points:
+        vals = observable_values(system, system.orbit_segment(p, n_max), observable)
+        csums.append(np.concatenate([[0.0], np.cumsum(vals)]))
     spread_last = 0.0
     for n in schedule.checkpoints:
         avgs = np.array([cs[n] / n for cs in csums])
@@ -488,19 +472,14 @@ def mean_equicontinuity_diagnostic(system: _systems.System, delta: float,
     prod = _systems.ProductSystem(system, system)
     n_max = schedule.max_n
     windows = schedule.tail_checkpoints
-
-    def one(pair):
+    score = 0.0
+    for i, pair in enumerate(pairs):
         x, y = pair
         bes = besicovitch_estimate(system, x, y, schedule).tail_sup
         weyl = weyl_profile(system, x, y, n_max, windows).sup
         prod_tail = ebar_estimate(prod, (x, y), (x, x), schedule).tail_sup
-        return bes, weyl, prod_tail
-
-    results = [one(pair) for pair in pairs]
-    score = 0.0
-    for i, (pair, (bes, weyl, prod_tail)) in enumerate(zip(pairs, results)):
         report.observations.append({
-            "pair": i, "dist": system.dist(pair[0], pair[1]),
+            "pair": i, "dist": system.dist(x, y),
             "besicovitch_tail": bes, "weyl_sup": weyl,
             "product_ebar_tail": prod_tail,
         })
@@ -526,13 +505,9 @@ def en_equicontinuity_diagnostic(system: _systems.System, delta: float,
         return report
     rng = np.random.default_rng(seed)
     pairs = _close_pairs(system, delta, pair_samples, rng)
-
-    def one(pair):
-        return [ebar_n(system, pair[0], pair[1], n) for n in n_list]
-
-    results = [one(pair) for pair in pairs]
     score = 0.0
-    for i, (pair, vals) in enumerate(zip(pairs, results)):
+    for i, pair in enumerate(pairs):
+        vals = [ebar_n(system, pair[0], pair[1], n) for n in n_list]
         d0 = system.dist(pair[0], pair[1])
         for n, v in zip(n_list, vals):
             report.observations.append({"pair": i, "dist": d0, "n": n, "ebar_n": v})
@@ -596,9 +571,6 @@ def example31_report(config: Example31Config = Example31Config()) -> DiagnosticR
     """
     lengths = config.lengths()
     b = np.cumsum(lengths).tolist()
-    if b[-1] > ASSIGNMENT_CAP:
-        raise SizeLimitError(
-            f"total block length {b[-1]} exceeds the assignment cap {ASSIGNMENT_CAP}")
     system = _systems.BinaryShift(horizon=config.shift_horizon)
     x = _systems.build_example31_point("U", config.block_rule, config.n_blocks)
     y = _systems.build_example31_point("V", config.block_rule, config.n_blocks)
@@ -610,7 +582,7 @@ def example31_report(config: Example31Config = Example31Config()) -> DiagnosticR
               "cluster_tol": config.cluster_tol}
     report = DiagnosticReport("example31", params)
 
-    est = ebar_estimate(system, x, y, schedule, method="assignment")
+    est = ebar_estimate(system, x, y, schedule)
     failures: list[str] = []
     for i, (n, value) in enumerate(zip(b, est.values)):
         prev_b = b[i - 1] if i > 0 else 0

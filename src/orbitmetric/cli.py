@@ -274,9 +274,8 @@ def _run_pair(args, cfg: dict) -> tuple[str, int]:
     x = _parse_point(system, x_text)
     y = _parse_point(system, y_text)
     schedule = _build_schedule(args, cfg, allow_single_n=True)
-    method = _effective(args, cfg, "method", "auto")
     seed, fmt, _ = _common_values(args, cfg)
-    ebar = _pseudometrics.ebar_estimate(system, x, y, schedule, method=method)
+    ebar = _pseudometrics.ebar_estimate(system, x, y, schedule)
     bes = _pseudometrics.besicovitch_estimate(system, x, y, schedule)
     observations = [
         {"n": n, "ebar": e, "besicovitch": b}
@@ -288,7 +287,7 @@ def _run_pair(args, cfg: dict) -> tuple[str, int]:
         "x": str(x_text), "y": str(y_text),
         "checkpoints": list(schedule.checkpoints),
         "tail_start": schedule.tail_start,
-        "method": method, "seed": seed, "format": fmt,
+        "seed": seed, "format": fmt,
     }
     if fmt == "json":
         payload = {"config": config, "version": __version__, "name": "pair",
@@ -470,8 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", help="first point")
     p.add_argument("--y", help="second point")
     p.add_argument("--n", type=int, help="single orbit length instead of a schedule")
-    p.add_argument("--method", choices=("auto", "assignment", "fast"),
-                   help="matched-average route (default auto)")
 
     p = sub.add_parser("modulus", parents=[common, sysflags, sched],
                        help="mean pseudo-metric modulus over close pairs")

@@ -48,6 +48,8 @@ class DiscreteMeasure:
             raise ValueError("atoms and weights must have equal length")
         if len(atoms) == 0:
             raise ValueError("measure needs at least one atom")
+        if not np.isfinite(weights).all():
+            raise ValueError("weights must be finite")
         if (weights < -1e-15).any():
             raise ValueError("weights must be non-negative")
         if abs(float(weights.sum()) - 1.0) > WEIGHT_SUM_TOL:
@@ -116,6 +118,8 @@ class Schedule:
         """Checkpoints round(ratio**k) up to max_n, tail at the last ``tail``."""
         if max_n < 1:
             raise ValueError("max_n must be at least 1")
+        if not ratio > 1:
+            raise ValueError("ratio must be greater than 1")
         vals = set()
         k = 0
         while True:

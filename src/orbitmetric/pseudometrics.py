@@ -21,7 +21,7 @@ from .measures import Schedule, _sorted_w1
 from .measures import _w1_circle, _w1_line  # noqa: F401
 
 # exact assignment builds a dense n x n float64 cost matrix (32 MB at the cap)
-# for the compiled solver; beyond this the closed-form routes are the only ones
+# for the compiled solver; products, which have no closed form, stop here
 ASSIGNMENT_CAP = 2000
 
 # dense cost matrices for threshold matching stay manageable up to here
@@ -140,26 +140,27 @@ def _fast_values(system: _systems.System, seg_x: _systems.OrbitSegment,
     return [float(u) * 2.0 ** -K / n for u, n in zip(units, checkpoints)]
 
 
-def _resolve_method(system: _systems.System, n: int, method: str) -> str:
-    fast_ok = system.geometry in _FAST_GEOMETRIES
-    if method == "auto":
-        method = "fast" if fast_ok else "assignment"
-    if method == "fast":
-        if not fast_ok:
-            raise ValueError(
-                f"no closed-form fast path for geometry {system.geometry!r}")
-        return "fast"
-    if method == "assignment":
-        if n > ASSIGNMENT_CAP:
-            hint = ("the fast path (method='fast') has no size limit"
-                    if fast_ok else "no fast path exists for this geometry")
-            raise SizeLimitError(
-                f"assignment path is capped at n={ASSIGNMENT_CAP}; {hint}")
-        return "assignment"
-    raise ValueError(f"unknown method {method!r}")
+def _ebar_values(system: _systems.System, x, y, checkpoints) -> list[float]:
+    """ebar_n at each checkpoint (increasing), on the route the geometry fixes.
+
+    Line, circle and shift use the closed forms of _fast_values, which have
+    no size limit; products solve the assignment exactly on prefixes of one
+    cost matrix, capped at ASSIGNMENT_CAP.
+    """
+    n_max = checkpoints[-1]
+    fast = system.geometry in _FAST_GEOMETRIES
+    if not fast and n_max > ASSIGNMENT_CAP:
+        raise SizeLimitError(
+            f"{system.geometry} systems need exact assignment, capped at "
+            f"n={ASSIGNMENT_CAP}")
+    seg_x, seg_y = _ordered_segments(system, x, y, n_max)
+    if fast:
+        return _fast_values(system, seg_x, seg_y, checkpoints)
+    C = _systems.cost_matrix(seg_x, seg_y).entries
+    return [matching.min_cost_assignment(C[:n, :n])[1] / n for n in checkpoints]
 
 
-def ebar_n(system: _systems.System, x, y, n: int, method: str = "auto") -> float:
+def ebar_n(system: _systems.System, x, y, n: int) -> float:
     """Best permutation-matched average distance between length-n segments.
 
     1-D geometries and the shift evaluate it as the Wasserstein-1 distance
@@ -167,28 +168,13 @@ def ebar_n(system: _systems.System, x, y, n: int, method: str = "auto") -> float
     every n), which has no size limit; products solve the assignment
     exactly, capped at ASSIGNMENT_CAP.
     """
-    route = _resolve_method(system, n, method)
-    seg_x, seg_y = _ordered_segments(system, x, y, n)
-    if route == "fast":
-        return _fast_values(system, seg_x, seg_y, (n,))[0]
-    C = _systems.cost_matrix(seg_x, seg_y)
-    _, total = matching.min_cost_assignment(C)
-    return total / n
+    return _ebar_values(system, x, y, (n,))[0]
 
 
-def ebar_estimate(system: _systems.System, x, y, schedule: Schedule,
-                  method: str = "auto") -> TailEstimate:
+def ebar_estimate(system: _systems.System, x, y,
+                  schedule: Schedule) -> TailEstimate:
     """ebar_n along the schedule; tail_sup is the mean pseudo-metric estimate."""
-    n_max = schedule.max_n
-    route = _resolve_method(system, n_max, method)
-    seg_x, seg_y = _ordered_segments(system, x, y, n_max)
-    if route == "fast":
-        values = _fast_values(system, seg_x, seg_y, schedule.checkpoints)
-    else:
-        C = _systems.cost_matrix(seg_x, seg_y).entries
-        values = [matching.min_cost_assignment(C[:n, :n])[1] / n
-                  for n in schedule.checkpoints]
-    return _tail_estimate(schedule, values)
+    return _tail_estimate(schedule, _ebar_values(system, x, y, schedule.checkpoints))
 
 
 def _tail_estimate(schedule: Schedule, values: list[float]) -> TailEstimate:

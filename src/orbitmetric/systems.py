@@ -185,14 +185,9 @@ class OrbitSegment:
 
 @dataclass(frozen=True)
 class CostMatrix:
-    """Pairwise orbit distance matrix ``entries[i][j] = d(T^i x, T^j y)``.
-
-    ``precision_bound`` states the quantization floor of the entries: 0 for
-    exact geometries, ``2**-horizon`` for shift windows.
-    """
+    """Pairwise orbit distance matrix ``entries[i][j] = d(T^i x, T^j y)``."""
 
     entries: np.ndarray
-    precision_bound: float = 0.0
 
     @property
     def n(self) -> int:
@@ -596,13 +591,12 @@ def _segment_cost(system: System, seg_x: OrbitSegment, seg_y: OrbitSegment) -> C
         K = system.horizon
         wa = np.lib.stride_tricks.sliding_window_view(X, K)[:n]
         wb = np.lib.stride_tricks.sliding_window_view(Y, K)[:n]
-        return CostMatrix(_first_mismatch_matrix(wa, wb, K), 2.0 ** -K)
+        return CostMatrix(_first_mismatch_matrix(wa, wb, K))
     if system.geometry == GEOMETRY_PRODUCT:
         ca = _segment_cost(system.first, seg_x.data[0], seg_y.data[0])
         cb = _segment_cost(system.second, seg_x.data[1], seg_y.data[1])
-        return CostMatrix(np.maximum(ca.entries, cb.entries),
-                          max(ca.precision_bound, cb.precision_bound))
-    return CostMatrix(system.pairwise_dist(seg_x.data, seg_y.data), 0.0)
+        return CostMatrix(np.maximum(ca.entries, cb.entries))
+    return CostMatrix(system.pairwise_dist(seg_x.data, seg_y.data))
 
 
 def aligned_distances(system: System, seg_x: OrbitSegment, seg_y: OrbitSegment) -> np.ndarray:

@@ -11,7 +11,6 @@ from orbitmetric import (
     ProductSystem,
     Schedule,
     ShiftPoint,
-    SizeLimitError,
     birkhoff_profile,
     continuity_modulus,
     empirical_equicontinuity,
@@ -264,9 +263,14 @@ def test_example31_custom_block_rule():
     assert all(row["bound_holds"] for row in rep.observations)
 
 
-def test_example31_refuses_oversized_factorial():
-    with pytest.raises(SizeLimitError):
-        example31_report(Example31Config(n_blocks=7))
+def test_example31_seven_blocks_on_shift_tree():
+    # 5,913 states: past the assignment cap, exact on the cylinder tree
+    six = example31_report(Example31Config(n_blocks=6))
+    rep = example31_report(Example31Config(n_blocks=7))
+    assert rep.verdict == VERDICT_CONSISTENT
+    assert rep.observations[-1]["n"] == 5913
+    assert all(row["bound_holds"] for row in rep.observations)
+    assert rep.summary["ebar_tail"] > six.summary["ebar_tail"]
 
 
 # ------------------------------------------------------------ reports

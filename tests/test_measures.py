@@ -54,6 +54,13 @@ def test_discrete_measure_validation():
         DiscreteMeasure([0.0, 0.5], [1.0])
 
 
+def test_discrete_measure_rejects_non_finite_weights():
+    # a NaN sum passes both the sign and the sum checks
+    for weights in ([np.nan, np.nan], [1.0, np.nan], [np.inf, -np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteMeasure([0.1, 0.2], weights)
+
+
 def test_empirical_measure_fixed_point_is_dirac():
     m = empirical_measure(BinaryShift().orbit_segment(ShiftPoint.zeros(), 100))
     assert m.support_size == 1
@@ -87,6 +94,15 @@ def test_schedule_validation():
     assert s.max_n == 100
     assert s.tail_checkpoints == s.checkpoints[s.tail_start:]
     assert all(a < b for a, b in zip(s.checkpoints, s.checkpoints[1:]))
+
+
+def test_schedule_geometric_needs_growing_ratio():
+    # powers of a ratio <= 1 never pass max_n, so the checkpoint loop would
+    # not end
+    for ratio in (1.0, 0.5, 0.0, -2.0, float("nan")):
+        with pytest.raises(ValueError, match="ratio"):
+            Schedule.geometric(10, ratio)
+    assert Schedule.geometric(10, 2.0).checkpoints == (1, 2, 4, 8, 10)
 
 
 # ------------------------------------------------------------ wasserstein

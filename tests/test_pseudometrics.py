@@ -52,18 +52,18 @@ def test_ebar_rotation_bounded_by_initial_gap():
         assert ebar_n(rot, 0.0, 0.1, n) <= 0.1 + 1e-12
 
 
-def test_ebar_methods_agree():
+def test_ebar_methods_agree(assignment_ebar):
     rng = np.random.default_rng(31)
     dbl = DoublingMap()
     for _ in range(10):
         x, y = sample_point(dbl, rng), sample_point(dbl, rng)
         n = int(rng.integers(2, 40))
         fast = ebar_n(dbl, x, y, n)
-        slow = ebar_n(dbl, x, y, n, method="assignment")
+        slow = assignment_ebar(dbl, x, y, n)
         assert fast == pytest.approx(slow, abs=1e-9)
 
 
-def test_ebar_shift_tree_matches_assignment():
+def test_ebar_shift_tree_matches_assignment(assignment_ebar):
     # window distances are dyadic, so both routes are float-exact and must
     # agree to the bit, not just to tolerance
     rng = np.random.default_rng(92)
@@ -71,12 +71,12 @@ def test_ebar_shift_tree_matches_assignment():
     for _ in range(25):
         x, y = sample_point(sh, rng), sample_point(sh, rng)
         n = int(rng.integers(1, 90))
-        assert ebar_n(sh, x, y, n) == ebar_n(sh, x, y, n, method="assignment")
+        assert ebar_n(sh, x, y, n) == assignment_ebar(sh, x, y, n)
     x = ShiftPoint.from_string("", "011")
     y = ShiftPoint.from_string("", "110")
     # same orbit one step apart: the matching bound m*diam/n is attained
     assert ebar_n(sh, x, y, 200) == 1.0 / 200
-    assert ebar_n(sh, x, y, 200, method="assignment") == 1.0 / 200
+    assert assignment_ebar(sh, x, y, 200) == 1.0 / 200
 
 
 def test_ebar_estimate_tracks_checkpoints():
@@ -93,7 +93,7 @@ def test_ebar_estimate_tracks_checkpoints():
         assert list(est.values) == [ebar_n(sh, x, y, n) for n in sched.checkpoints]
 
 
-def test_ebar_checkpoints_match_independent_oracle():
+def test_ebar_checkpoints_match_independent_oracle(assignment_ebar):
     # one sort / encoding at the largest checkpoint must give what a fresh
     # computation on each prefix gives: exact assignment for small n, the
     # closed-form (1-d) or LP (shift) transport between prefix empiricals above
@@ -113,7 +113,7 @@ def test_ebar_checkpoints_match_independent_oracle():
         est = ebar_estimate(system, x, y, sched)
         for n, value in zip(sched.checkpoints, est.values):
             if n <= 60:
-                want = ebar_n(system, x, y, n, method="assignment")
+                want = assignment_ebar(system, x, y, n)
             else:
                 mu = empirical_measure(system.orbit_segment(x, n))
                 nu = empirical_measure(system.orbit_segment(y, n))
@@ -133,9 +133,13 @@ def test_ebar_shifted_start_fades_linearly():
 
 
 def test_ebar_assignment_size_guard():
-    sh = BinaryShift()
+    # products have no closed form, so their exact assignment is capped
+    prod = ProductSystem(CircleRotation(GOLDEN), TentMap())
+    x, y = (0.1, 0.2), (0.3, 0.4)
     with pytest.raises(SizeLimitError):
-        ebar_n(sh, ShiftPoint.zeros(), ShiftPoint.ones(), 2001, method="assignment")
+        ebar_n(prod, x, y, 2001)
+    with pytest.raises(SizeLimitError):
+        ebar_estimate(prod, x, y, Schedule.geometric(2001))
 
 
 def test_ebar_symmetry_exact():

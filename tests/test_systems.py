@@ -100,7 +100,7 @@ def test_rotation_orbit_matches_exact_oracle():
             assert data.tolist() == want, (alpha, x)
 
 
-def test_rotation_state_rounding_to_one_wraps_to_zero():
+def test_rotation_state_rounding_to_one_wraps_to_zero(assignment_ebar):
     # the exact second state is 1 - 2**-55, which rounds to 1.0
     rot = CircleRotation(0.9999999999999999)
     x = 1.5 * 2**-54
@@ -108,7 +108,7 @@ def test_rotation_state_rounding_to_one_wraps_to_zero():
     assert data.tolist() == [x, 0.0, 0.9999999999999999]
     assert rot.step(x) == 0.0
     assert ((data >= 0) & (data < 1)).all()
-    assert ebar_n(rot, x, 0.25, 3) == ebar_n(rot, x, 0.25, 3, method="assignment")
+    assert ebar_n(rot, x, 0.25, 3) == assignment_ebar(rot, x, 0.25, 3)
 
 
 def test_logistic_orbit_matches_iterated_step():
