@@ -111,6 +111,17 @@ def sample_point(system: _systems.System, rng: np.random.Generator):
     raise ValueError(f"cannot sample from geometry {g!r}")
 
 
+def _sample_points(system: _systems.System, count: int, seed: int) -> list:
+    """The shift's two fixed points first, then draws seeded by ``seed``
+    until there are at least ``count`` points."""
+    rng = np.random.default_rng(seed)
+    shift = system.geometry == _systems.GEOMETRY_SHIFT
+    points = [ShiftPoint.zeros(), ShiftPoint.ones()] if shift else []
+    while len(points) < count:
+        points.append(sample_point(system, rng))
+    return points
+
+
 def _close_candidate(system: _systems.System, delta: float, rng: np.random.Generator):
     g = system.geometry
     if g == _systems.GEOMETRY_CIRCLE:
@@ -280,12 +291,7 @@ def unique_ergodicity_diagnostic(system: _systems.System, point_samples: int,
               "seed": seed, "schedule": list(schedule.checkpoints),
               "tail_start": schedule.tail_start, "threshold": threshold}
     report = DiagnosticReport("unique_ergodicity", params)
-    rng = np.random.default_rng(seed)
-    points: list = []
-    if system.geometry == _systems.GEOMETRY_SHIFT:
-        points = [ShiftPoint.zeros(), ShiftPoint.ones()]
-    while len(points) < point_samples:
-        points.append(sample_point(system, rng))
+    points = _sample_points(system, point_samples, seed)
     indexed = [(i, j) for i in range(len(points)) for j in range(i + 1, len(points))]
     score = 0.0
     for i, j in indexed:
@@ -408,12 +414,7 @@ def birkhoff_profile(system: _systems.System, observable: str,
               "schedule": list(schedule.checkpoints),
               "tail_start": schedule.tail_start, "threshold": threshold}
     report = DiagnosticReport("birkhoff_profile", params)
-    rng = np.random.default_rng(seed)
-    points: list = []
-    if system.geometry == _systems.GEOMETRY_SHIFT:
-        points = [ShiftPoint.zeros(), ShiftPoint.ones()]
-    while len(points) < point_samples:
-        points.append(sample_point(system, rng))
+    points = _sample_points(system, point_samples, seed)
     n_max = schedule.max_n
     csums = []
     for p in points:
@@ -533,6 +534,10 @@ class Example31Config:
     shift_horizon: int = 30
     k_grid_step: float = 0.01
     cluster_tol: float = 0.05
+
+    def __post_init__(self) -> None:
+        if not 0 < self.k_grid_step <= 1:
+            raise ValueError("k_grid_step must lie in (0, 1]")
 
     def lengths(self) -> list[int]:
         return _systems.block_lengths(self.block_rule, self.n_blocks)

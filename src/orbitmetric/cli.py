@@ -66,8 +66,8 @@ def _effective(args, cfg: dict, key: str, default=None):
     return value
 
 
-def _require(args, cfg: dict, key: str, flag: str):
-    value = _effective(args, cfg, key)
+def _require(args, cfg: dict, key: str, flag: str, default=None):
+    value = _effective(args, cfg, key, default)
     if value is None:
         raise CliError(f"{flag} is required for this command")
     return value
@@ -84,8 +84,8 @@ def _positive_int(args, cfg: dict, key: str, default: int, flag: str) -> int:
     return value
 
 
-def _positive_float(args, cfg: dict, key: str, flag: str) -> float:
-    value = _require(args, cfg, key, flag)
+def _positive_float(args, cfg: dict, key: str, flag: str, default=None) -> float:
+    value = _require(args, cfg, key, flag, default)
     try:
         value = float(value)
     except (TypeError, ValueError):
@@ -93,6 +93,11 @@ def _positive_float(args, cfg: dict, key: str, flag: str) -> float:
     if not value > 0:
         raise CliError(f"{flag} must be positive")
     return value
+
+
+def _threshold(args, cfg: dict) -> float:
+    return _positive_float(args, cfg, "threshold", "--threshold",
+                           _analysis.DEFAULT_THRESHOLD)
 
 
 def _common_values(args, cfg: dict) -> tuple[int, str, bool]:
@@ -130,7 +135,7 @@ def _build_system(args, cfg: dict) -> _systems.System:
             spec = _parse_json_arg(spec, "--system-json")
         try:
             return _systems.system_from_dict(spec)
-        except (KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise CliError(f"bad system description: {exc}")
     if name is None:
         raise CliError("no system given (use --system or --system-json)")
@@ -307,9 +312,7 @@ def _run_modulus(args, cfg: dict) -> tuple[str, int]:
     system = _build_system(args, cfg)
     delta = _positive_float(args, cfg, "delta", "--delta")
     pairs = _positive_int(args, cfg, "pairs", DEFAULT_PAIR_SAMPLES, "--pairs")
-    threshold = float(_effective(args, cfg, "threshold", _analysis.DEFAULT_THRESHOLD))
-    if threshold <= 0:
-        raise CliError("--threshold must be positive")
+    threshold = _threshold(args, cfg)
     schedule = _build_schedule(args, cfg)
     seed, fmt, strict = _common_values(args, cfg)
     report = _analysis.continuity_modulus(
@@ -326,9 +329,7 @@ def _run_modulus(args, cfg: dict) -> tuple[str, int]:
 def _run_ue(args, cfg: dict) -> tuple[str, int]:
     system = _build_system(args, cfg)
     points = _positive_int(args, cfg, "points", DEFAULT_POINT_SAMPLES, "--points")
-    threshold = float(_effective(args, cfg, "threshold", _analysis.DEFAULT_THRESHOLD))
-    if threshold <= 0:
-        raise CliError("--threshold must be positive")
+    threshold = _threshold(args, cfg)
     schedule = _build_schedule(args, cfg)
     seed, fmt, strict = _common_values(args, cfg)
     report = _analysis.unique_ergodicity_diagnostic(
@@ -347,9 +348,7 @@ def _run_birkhoff(args, cfg: dict) -> tuple[str, int]:
     if observable is None:
         observable = "symbol0" if system.kind == "binary_shift" else "coordinate"
     points = _positive_int(args, cfg, "points", DEFAULT_POINT_SAMPLES, "--points")
-    threshold = float(_effective(args, cfg, "threshold", _analysis.DEFAULT_THRESHOLD))
-    if threshold <= 0:
-        raise CliError("--threshold must be positive")
+    threshold = _threshold(args, cfg)
     schedule = _build_schedule(args, cfg)
     seed, fmt, strict = _common_values(args, cfg)
     report = _analysis.birkhoff_profile(
@@ -367,9 +366,7 @@ def _run_meaneq(args, cfg: dict) -> tuple[str, int]:
     system = _build_system(args, cfg)
     delta = _positive_float(args, cfg, "delta", "--delta")
     pairs = _positive_int(args, cfg, "pairs", DEFAULT_PAIR_SAMPLES, "--pairs")
-    threshold = float(_effective(args, cfg, "threshold", _analysis.DEFAULT_THRESHOLD))
-    if threshold <= 0:
-        raise CliError("--threshold must be positive")
+    threshold = _threshold(args, cfg)
     # the product-orbit route solves a dense assignment per checkpoint, so
     # this command defaults to a shorter schedule than the others
     schedule = _build_schedule(args, cfg, default_max=MEANEQ_SCHEDULE_MAX)
@@ -443,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "logistic_map", "shift", "binary_shift"),
                           help="named system")
     sysflags.add_argument("--alpha", type=float, help="rotation angle in [0, 1)")
-    sysflags.add_argument("--r", type=float, help="logistic parameter in (0, 4]")
+    sysflags.add_argument("--r", type=float, help="logistic parameter in [0, 4]")
     sysflags.add_argument("--horizon", type=int, help="shift metric horizon")
     sysflags.add_argument("--system-json", dest="system_json", metavar="JSON",
                           help="full system description (products supported)")

@@ -9,6 +9,18 @@ Systems on offer:
   first-disagreement metric ``2**-k`` truncated below ``2**-horizon``.
 * ``product_system(a, b)`` with the max metric on pairs.
 
+Each geometry's ground metric lives in one kernel, ``_kernel(a, b)``, which
+maps two broadcastable state arrays to distances: floats on the line and the
+circle, stacks of horizon-length symbol windows on the shift, and pairs of
+factor states on products.  ``System.dist``, ``pairwise_dist``,
+``cost_matrix`` and ``aligned_distances`` are thin calls to it.  Atoms from
+outside reach the kernel through one validator per geometry, ``_states``, so
+``dist`` and ``pairwise_dist`` share one domain rule: the circle takes
+points of [0, 1), the line points of [0, 1], the shift windows of at least
+``horizon`` symbols (a shorter finite window raises
+``InsufficientTailError``), and a product pairs of factor atoms.  Anything
+else raises ``ValueError``.
+
 Orbit states are generated as exactly as double precision permits.  A
 rotation state is (x + k*alpha) mod 1 computed exactly over the common
 denominator ``den`` of base and angle and rounded once: in masked uint64
@@ -147,6 +159,28 @@ def _as_unit_scalar(p, closed_right: bool = False):
     return v
 
 
+def _unit_states(atoms, closed_right: bool) -> np.ndarray:
+    """Float array of the points ``atoms`` under the ``_as_unit_scalar`` rule."""
+    arr = np.asarray(atoms)
+    if arr.dtype == object:  # Fractions or mixed types: check each exactly
+        return np.array([float(_as_unit_scalar(p, closed_right)) for p in atoms],
+                        dtype=np.float64)
+    if arr.ndim != 1 or arr.dtype.kind not in "biuf":
+        raise ValueError("expected a sequence of numbers in the unit interval")
+    arr = arr.astype(np.float64, copy=False)
+    if not ((arr >= 0) & ((arr <= 1) if closed_right else (arr < 1))).all():
+        raise ValueError(f"points must lie in [0, {'1]' if closed_right else '1)'}")
+    return arr
+
+
+def _outer(states, axis: int):
+    """Insert a broadcast axis at ``axis`` (1 for the rows, 0 for the columns
+    of a distance matrix); product states are pairs of factor states."""
+    if isinstance(states, tuple):
+        return tuple(_outer(s, axis) for s in states)
+    return np.expand_dims(states, axis)
+
+
 # ---------------------------------------------------------------------------
 # orbit segments
 
@@ -206,7 +240,7 @@ class System:
     diameter: float = 1.0
 
     def dist(self, p, q) -> float:
-        raise NotImplementedError
+        return float(self._kernel(self._states([p]), self._states([q]))[0])
 
     def step(self, p):
         raise NotImplementedError
@@ -217,14 +251,32 @@ class System:
         return self._segment(x, n)
 
     def pairwise_dist(self, atoms_a, atoms_b) -> np.ndarray:
-        """Dense distance matrix between two atom collections."""
-        raise NotImplementedError
+        """Dense distance matrix between two atom collections.
+
+        Each geometry binds this in its own class body, so that it can be
+        timed per geometry.
+        """
+        return self._kernel(_outer(self._states(atoms_a), 1),
+                            _outer(self._states(atoms_b), 0))
 
     def to_dict(self) -> dict:
         raise NotImplementedError
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
+
+    # the ground metric, one implementation per geometry
+    def _kernel(self, a, b) -> np.ndarray:
+        """Distances between two broadcastable state arrays."""
+        raise NotImplementedError
+
+    def _states(self, atoms):
+        """Validate a sequence of atoms into the state array of ``_kernel``."""
+        raise NotImplementedError
+
+    def _view(self, seg: OrbitSegment):
+        """The states of an orbit segment as the state array of ``_kernel``."""
+        raise NotImplementedError
 
     # segment plumbing, one implementation per geometry
     def _segment(self, x, n: int) -> OrbitSegment:
@@ -252,14 +304,8 @@ class _NumericSystem(System):
     def _prefix_data(self, data, m: int):
         return data[:m]
 
-
-def _line_dist(p: float, q: float) -> float:
-    return abs(p - q)
-
-
-def _arc_dist(p: float, q: float) -> float:
-    d = abs(p - q) % 1.0
-    return min(d, 1.0 - d)
+    def _view(self, seg: OrbitSegment) -> np.ndarray:
+        return seg.data
 
 
 @dataclass(frozen=True)
@@ -275,10 +321,14 @@ class CircleRotation(_NumericSystem):
         if not (isinstance(self.alpha, (int, float)) and 0 <= self.alpha < 1):
             raise ValueError("rotation angle must lie in [0, 1)")
 
-    def dist(self, p, q) -> float:
-        p = _as_unit_scalar(p)
-        q = _as_unit_scalar(q)
-        return _arc_dist(float(p), float(q))
+    def _kernel(self, a, b) -> np.ndarray:
+        d = np.abs(a - b)
+        return np.minimum(d, 1.0 - d)
+
+    def _states(self, atoms) -> np.ndarray:
+        return _unit_states(atoms, closed_right=False)
+
+    pairwise_dist = System.pairwise_dist
 
     def step(self, p):
         if isinstance(p, Fraction):
@@ -314,12 +364,6 @@ class CircleRotation(_NumericSystem):
         out[out == 1.0] = 0.0  # states within half an ulp below 1 round up
         return out
 
-    def pairwise_dist(self, atoms_a, atoms_b) -> np.ndarray:
-        a = np.asarray(atoms_a, dtype=np.float64)
-        b = np.asarray(atoms_b, dtype=np.float64)
-        d = np.abs(a[:, None] - b[None, :])
-        return np.minimum(d, 1.0 - d)
-
     def to_dict(self) -> dict:
         return {"kind": self.kind, "alpha": self.alpha}
 
@@ -330,10 +374,13 @@ class _IntervalSystem(_NumericSystem):
     geometry = GEOMETRY_LINE
     diameter = 1.0
 
-    def dist(self, p, q) -> float:
-        p = _as_unit_scalar(p, closed_right=True)
-        q = _as_unit_scalar(q, closed_right=True)
-        return _line_dist(float(p), float(q))
+    def _kernel(self, a, b) -> np.ndarray:
+        return np.abs(a - b)
+
+    def _states(self, atoms) -> np.ndarray:
+        return _unit_states(atoms, closed_right=True)
+
+    pairwise_dist = System.pairwise_dist
 
     def _orbit_array(self, x, n: int) -> np.ndarray:
         p = _as_unit_scalar(x, closed_right=True)
@@ -342,11 +389,6 @@ class _IntervalSystem(_NumericSystem):
             out[k] = float(p)
             p = self.step(p)
         return out
-
-    def pairwise_dist(self, atoms_a, atoms_b) -> np.ndarray:
-        a = np.asarray(atoms_a, dtype=np.float64)
-        b = np.asarray(atoms_b, dtype=np.float64)
-        return np.abs(a[:, None] - b[None, :])
 
 
 @dataclass(frozen=True)
@@ -409,28 +451,6 @@ class LogisticMap(_IntervalSystem):
         return {"kind": self.kind, "r": self.r}
 
 
-def _first_mismatch_matrix(wa: np.ndarray, wb: np.ndarray, horizon: int) -> np.ndarray:
-    """Distance matrix 2**-(first differing index) between two window stacks.
-
-    ``wa``/``wb`` are uint8 matrices whose rows are symbol windows of length
-    >= horizon.  Agreement through the full horizon yields distance 0.
-    """
-    m, n = wa.shape[0], wb.shape[0]
-    first = np.full((m, n), horizon, dtype=np.int32)
-    undecided = np.ones((m, n), dtype=bool)
-    for k in range(horizon):
-        neq = wa[:, k][:, None] != wb[None, :, k]
-        hit = undecided & neq
-        first[hit] = k
-        undecided &= ~neq
-        if not undecided.any() and (first < horizon).all():
-            break
-    with np.errstate(over="ignore"):
-        d = np.ldexp(1.0, -first)
-    d[first >= horizon] = 0.0
-    return d
-
-
 @dataclass(frozen=True)
 class BinaryShift(System):
     """Full one-sided shift on {0,1} with horizon-truncated metric.
@@ -449,25 +469,31 @@ class BinaryShift(System):
         if not (isinstance(self.horizon, int) and self.horizon >= 1):
             raise ValueError("shift horizon must be a positive integer")
 
-    def dist(self, p, q) -> float:
-        sa = self._atom_symbols(p)
-        sb = self._atom_symbols(q)
-        k = min(len(sa), len(sb), self.horizon)
-        neq = np.flatnonzero(sa[:k] != sb[:k])
-        if len(neq) == 0:
-            return 0.0
-        return float(2.0 ** -int(neq[0]))
+    def _kernel(self, a, b) -> np.ndarray:
+        """2**-(first index where two windows differ) over window stacks."""
+        K = self.horizon
+        shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+        first = np.full(shape, K, dtype=np.int32)
+        undecided = np.ones(shape, dtype=bool)
+        for k in range(K):
+            hit = undecided & (a[..., k] != b[..., k])
+            first[hit] = k
+            undecided &= ~hit
+            if not undecided.any():
+                break
+        d = np.ldexp(1.0, -first)
+        d[first == K] = 0.0
+        return d
 
-    def _atom_symbols(self, p) -> np.ndarray:
-        """Up to ``horizon`` symbols; finite windows may stop short."""
-        if isinstance(p, ShiftPoint):
-            return p.symbols(self.horizon)
-        if isinstance(p, str):
-            return ShiftPoint.from_string(p).symbols(self.horizon)
-        arr = np.asarray(p, dtype=np.uint8)
-        if arr.ndim != 1:
-            raise ValueError("shift point must be a one-dimensional symbol sequence")
-        return arr[: self.horizon]
+    def _states(self, atoms) -> np.ndarray:
+        rows = [_shift_symbols(p, self.horizon) for p in atoms]
+        return np.stack(rows) if rows else np.zeros((0, self.horizon), dtype=np.uint8)
+
+    def _view(self, seg: OrbitSegment) -> np.ndarray:
+        windows = np.lib.stride_tricks.sliding_window_view(seg.data, self.horizon)
+        return windows[:seg.length]
+
+    pairwise_dist = System.pairwise_dist
 
     def step(self, p):
         if isinstance(p, ShiftPoint):
@@ -487,20 +513,6 @@ class BinaryShift(System):
 
     def _prefix_data(self, data, m: int):
         return data[: m + self.horizon]
-
-    def window_matrix(self, atoms) -> np.ndarray:
-        rows = []
-        for a in atoms:
-            s = self._atom_symbols(a)
-            if len(s) < self.horizon:
-                s = np.concatenate([s, np.zeros(self.horizon - len(s), dtype=np.uint8)])
-            rows.append(s)
-        return np.stack(rows) if rows else np.zeros((0, self.horizon), dtype=np.uint8)
-
-    def pairwise_dist(self, atoms_a, atoms_b) -> np.ndarray:
-        wa = self.window_matrix(atoms_a)
-        wb = self.window_matrix(atoms_b)
-        return _first_mismatch_matrix(wa, wb, self.horizon)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "shift_horizon": self.horizon}
@@ -524,10 +536,20 @@ class ProductSystem(System):
             raise ValueError("product point must be a pair")
         return p
 
-    def dist(self, p, q) -> float:
-        p1, p2 = self._split(p)
-        q1, q2 = self._split(q)
-        return max(self.first.dist(p1, q1), self.second.dist(p2, q2))
+    def _kernel(self, a, b) -> np.ndarray:
+        return np.maximum(self.first._kernel(a[0], b[0]),
+                          self.second._kernel(a[1], b[1]))
+
+    def _states(self, atoms) -> tuple:
+        pairs = [self._split(p) for p in atoms]
+        return (self.first._states([p[0] for p in pairs]),
+                self.second._states([p[1] for p in pairs]))
+
+    def _view(self, seg: OrbitSegment) -> tuple:
+        sa, sb = seg.data
+        return (self.first._view(sa), self.second._view(sb))
+
+    pairwise_dist = System.pairwise_dist
 
     def step(self, p):
         p1, p2 = self._split(p)
@@ -545,14 +567,6 @@ class ProductSystem(System):
     def _prefix_data(self, data, m: int):
         sa, sb = data
         return (sa.prefix(m), sb.prefix(m))
-
-    def pairwise_dist(self, atoms_a, atoms_b) -> np.ndarray:
-        fa = [a[0] for a in atoms_a]
-        sa = [a[1] for a in atoms_a]
-        fb = [b[0] for b in atoms_b]
-        sb = [b[1] for b in atoms_b]
-        return np.maximum(self.first.pairwise_dist(fa, fb),
-                          self.second.pairwise_dist(sa, sb))
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "first": self.first.to_dict(),
@@ -581,51 +595,16 @@ def cost_matrix(seg_x: OrbitSegment, seg_y: OrbitSegment) -> CostMatrix:
         raise ValueError("orbit segments come from different systems")
     if seg_x.length != seg_y.length:
         raise ValueError("orbit segments must have equal length")
-    return _segment_cost(seg_x.system, seg_x, seg_y)
-
-
-def _segment_cost(system: System, seg_x: OrbitSegment, seg_y: OrbitSegment) -> CostMatrix:
-    n = seg_x.length
-    if system.geometry == GEOMETRY_SHIFT:
-        X, Y = seg_x.data, seg_y.data
-        K = system.horizon
-        wa = np.lib.stride_tricks.sliding_window_view(X, K)[:n]
-        wb = np.lib.stride_tricks.sliding_window_view(Y, K)[:n]
-        return CostMatrix(_first_mismatch_matrix(wa, wb, K))
-    if system.geometry == GEOMETRY_PRODUCT:
-        ca = _segment_cost(system.first, seg_x.data[0], seg_y.data[0])
-        cb = _segment_cost(system.second, seg_x.data[1], seg_y.data[1])
-        return CostMatrix(np.maximum(ca.entries, cb.entries))
-    return CostMatrix(system.pairwise_dist(seg_x.data, seg_y.data))
+    system = seg_x.system
+    return CostMatrix(system._kernel(_outer(system._view(seg_x), 1),
+                                     _outer(system._view(seg_y), 0)))
 
 
 def aligned_distances(system: System, seg_x: OrbitSegment, seg_y: OrbitSegment) -> np.ndarray:
     """The sequence d(T^k x, T^k y) for k < length, as a float array."""
     if seg_x.system != seg_y.system or seg_x.length != seg_y.length:
         raise ValueError("orbit segments must share system and length")
-    n = seg_x.length
-    if system.geometry == GEOMETRY_SHIFT:
-        X, Y = seg_x.data, seg_y.data
-        K = system.horizon
-        first = np.full(n, K, dtype=np.int32)
-        undecided = np.ones(n, dtype=bool)
-        for k in range(K):
-            neq = X[k:k + n] != Y[k:k + n]
-            hit = undecided & neq
-            first[hit] = k
-            undecided &= ~neq
-        d = np.ldexp(1.0, -first)
-        d[first >= K] = 0.0
-        return d
-    if system.geometry == GEOMETRY_PRODUCT:
-        da = aligned_distances(system.first, seg_x.data[0], seg_y.data[0])
-        db = aligned_distances(system.second, seg_x.data[1], seg_y.data[1])
-        return np.maximum(da, db)
-    a, b = seg_x.data, seg_y.data
-    d = np.abs(a - b)
-    if system.geometry == GEOMETRY_CIRCLE:
-        return np.minimum(d, 1.0 - d)
-    return d
+    return system._kernel(system._view(seg_x), system._view(seg_y))
 
 
 def build_example31_point(variant: str, block_rule, n_blocks: int) -> ShiftPoint:
@@ -665,12 +644,22 @@ def block_lengths(block_rule, n_blocks: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # serialization
 
+def _number(d: dict, key: str, default=None):
+    """A numeric field of a system spec; a missing or ill-typed one raises."""
+    value = d.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{d['kind']} spec needs a number in field {key!r}, "
+                         f"got {value!r}")
+    return value
+
+
 _KINDS = {
-    "circle_rotation": lambda d: CircleRotation(alpha=float(d["alpha"])),
+    "circle_rotation": lambda d: CircleRotation(alpha=float(_number(d, "alpha"))),
     "doubling_map": lambda d: DoublingMap(),
     "tent_map": lambda d: TentMap(),
-    "logistic_map": lambda d: LogisticMap(r=float(d.get("r", 4.0))),
-    "binary_shift": lambda d: BinaryShift(horizon=int(d.get("shift_horizon", DEFAULT_HORIZON))),
+    "logistic_map": lambda d: LogisticMap(r=float(_number(d, "r", 4.0))),
+    "binary_shift": lambda d: BinaryShift(
+        horizon=_number(d, "shift_horizon", DEFAULT_HORIZON)),
 }
 
 
@@ -678,6 +667,8 @@ def system_from_dict(d: dict) -> System:
     if not isinstance(d, dict) or "kind" not in d:
         raise ValueError("system spec must be an object with a 'kind' field")
     kind = d["kind"]
+    if not isinstance(kind, str):
+        raise ValueError(f"system kind must be a string, got {kind!r}")
     if kind == "product":
         if "first" not in d or "second" not in d:
             raise ValueError("product spec needs 'first' and 'second' sub-specs")

@@ -273,6 +273,13 @@ def test_example31_seven_blocks_on_shift_tree():
     assert rep.summary["ebar_tail"] > six.summary["ebar_tail"]
 
 
+def test_example31_config_rejects_grid_step_outside_unit_interval():
+    for step in (-0.5, 0.0, 3.0, float("nan")):
+        with pytest.raises(ValueError, match="k_grid_step"):
+            Example31Config(k_grid_step=step)
+    assert Example31Config(k_grid_step=1.0).k_grid_step == 1.0
+
+
 # ------------------------------------------------------------ reports
 
 def test_violated_reports_carry_witnesses():

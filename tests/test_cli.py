@@ -150,6 +150,23 @@ def test_circle_requires_alpha(capsys):
     assert "alpha" in err.lower()
 
 
+def test_system_json_missing_field_is_an_input_error(capsys):
+    for spec in ('{"kind": "circle_rotation"}',
+                 '{"kind": "circle_rotation", "alpha": null}'):
+        code, _, err = run(["pair", "--system-json", spec,
+                            "--x", "0", "--y", "0.1", "--n", "10"], capsys)
+        assert code == 2
+        assert "bad system description" in err and "alpha" in err
+
+
+def test_threshold_must_be_a_positive_number(capsys):
+    for value in ("0", "-1", "nan"):
+        code, _, err = run(["ue", "--system", "tent", "--points", "2",
+                            "--schedule-max", "10", "--threshold", value], capsys)
+        assert code == 2
+        assert "--threshold must be positive" in err
+
+
 def test_bad_shift_point_string(capsys):
     code, _, err = run(["pair", "--system", "shift", "--x", "012",
                         "--y", "(0)*", "--n", "10"], capsys)

@@ -9,6 +9,7 @@ from orbitmetric import (
     CircleRotation,
     DiscreteMeasure,
     DoublingMap,
+    InsufficientTailError,
     MeasureSet,
     Schedule,
     ShiftPoint,
@@ -148,6 +149,47 @@ def test_w1_fast_circle_rejects_atoms_outside_unit_interval():
             with pytest.raises(ValueError, match=r"circle atoms must lie in \[0, 1\)"):
                 wasserstein1_fast_1d(mu, nu, GEOMETRY_CIRCLE)
         assert wasserstein1_fast_1d(inside, outside, GEOMETRY_LINE) >= 0
+
+
+# ---------------------------------------------------- domain of the metric
+
+def _every_distance_route(system, a, b):
+    """Each library call that evaluates the ground metric on atoms a and b."""
+    mu, nu = DiscreteMeasure([a], [1.0]), DiscreteMeasure([b], [1.0])
+    return [lambda: system.dist(a, b),
+            lambda: system.pairwise_dist([a], [b]),
+            lambda: wasserstein1(mu, nu, system),
+            lambda: prokhorov(mu, nu, system)]
+
+
+def test_circle_routes_reject_atoms_outside_unit_interval():
+    rot = CircleRotation(0.3)
+    mu, nu = DiscreteMeasure.dirac(1.5), DiscreteMeasure.dirac(0.2)
+    for call in _every_distance_route(rot, 1.5, 0.2) + [
+            lambda: wasserstein1_fast_1d(mu, nu, GEOMETRY_CIRCLE)]:
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_line_routes_reject_atoms_outside_unit_interval():
+    dbl = DoublingMap()
+    for call in _every_distance_route(dbl, -3.0, 0.5):
+        with pytest.raises(ValueError):
+            call()
+    mu = DiscreteMeasure([-3.0, 0.5], [0.5, 0.5])
+    with pytest.raises(ValueError):
+        wasserstein1(mu, DiscreteMeasure.dirac(0.5), dbl)
+    # the closed right end belongs to the line
+    assert dbl.pairwise_dist([1.0], [0.0])[0, 0] == 1.0
+
+
+def test_shift_routes_reject_windows_shorter_than_horizon():
+    shift = BinaryShift(8)
+    for call in _every_distance_route(shift, (1,), (1, 1)):
+        with pytest.raises(InsufficientTailError):
+            call()
+    window = (1, 0) * 4
+    assert shift.pairwise_dist([window], [window + (1,)])[0, 0] == 0.0
 
 
 def test_w1_fast_paths_match_linear_program():

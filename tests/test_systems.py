@@ -214,6 +214,52 @@ def test_rotation_is_isometry_along_long_orbits():
     assert np.max(np.abs(along - circle.dist(0.123, 0.456))) <= 1e-12
 
 
+# orbit windows of these two points disagree first at every index below the
+# horizon, and agree through it, somewhere in the first 16 x 16 state pairs
+SHIFT_X = ShiftPoint.from_string("10000111000010001100001100110111", "01")
+SHIFT_Y = ShiftPoint.from_string("10011110100110000111000100011000", "1")
+
+
+def _reference_dist(system, p, q):
+    """The ground metric from its definition, one pair of orbit states at a time."""
+    if isinstance(system, ProductSystem):
+        return max(_reference_dist(system.first, p[0], q[0]),
+                   _reference_dist(system.second, p[1], q[1]))
+    if isinstance(system, BinaryShift):
+        return next((2.0 ** -k for k in range(system.horizon) if p[k] != q[k]), 0.0)
+    d = abs(p - q)
+    return min(d, 1.0 - d) if isinstance(system, CircleRotation) else d
+
+
+@pytest.mark.parametrize("system, x, y", [
+    (CircleRotation(alpha=GOLDEN), 0.1, 0.85),
+    (TentMap(), 0.2, 0.7),
+    (DoublingMap(), Fraction(1, 7), Fraction(2, 9)),
+    (LogisticMap(r=3.9), 0.3, 0.31),
+    (BinaryShift(horizon=6), SHIFT_X, SHIFT_Y),
+    (product_system(CircleRotation(alpha=0.25), BinaryShift(horizon=5)),
+     (0.1, SHIFT_X), (0.6, SHIFT_Y)),
+    (product_system(product_system(TentMap(), BinaryShift(horizon=4)),
+                    CircleRotation(alpha=GOLDEN)),
+     ((0.3, SHIFT_X), 0.2), ((0.35, SHIFT_Y), 0.9)),
+], ids=["circle", "tent", "doubling", "logistic", "shift", "product", "nested"])
+def test_every_distance_route_agrees_on_orbit_states(system, x, y):
+    n = 16
+    sx, sy = system.orbit_segment(x, n), system.orbit_segment(y, n)
+    px, py = sx.points(), sy.points()
+    C = cost_matrix(sx, sy).entries
+    D = system.pairwise_dist(px, py)
+    along = aligned_distances(system, sx, sy)
+    assert C.shape == D.shape == (n, n)
+    assert np.array_equal(np.diag(C), along)
+    for i in range(n):
+        for j in range(n):
+            d = system.dist(px[i], py[j])
+            assert d == C[i, j] == D[i, j] == _reference_dist(system, px[i], py[j])
+            assert d == system.pairwise_dist([px[i]], [py[j]])[0, 0]
+    assert len(set(C.ravel())) > 1
+
+
 def test_shift_distance_quantization_under_horizon_change():
     rng = np.random.default_rng(7)
     coarse = BinaryShift(horizon=10)
@@ -326,6 +372,24 @@ def test_serialization_round_trip():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         system_from_dict({"kind": "horseshoe"})
+
+
+def test_system_spec_with_missing_or_ill_typed_fields_raises_value_error():
+    bad = [
+        {"kind": "circle_rotation"},
+        {"kind": "circle_rotation", "alpha": None},
+        {"kind": "circle_rotation", "alpha": "0.3"},
+        {"kind": "logistic_map", "r": [3.9]},
+        {"kind": "binary_shift", "shift_horizon": 12.5},
+        {"kind": "binary_shift", "shift_horizon": True},
+        {"kind": ["product"]},
+        {"kind": "product", "first": {"kind": "tent_map"}, "second": None},
+    ]
+    for spec in bad:
+        with pytest.raises(ValueError):
+            system_from_dict(spec)
+    assert system_from_dict({"kind": "logistic_map"}).r == 4.0
+    assert system_from_dict({"kind": "binary_shift"}).horizon == 30
 
 
 def test_product_round_trip_preserves_factors():
