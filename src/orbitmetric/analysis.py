@@ -9,9 +9,10 @@ numbers can be judged directly.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -55,15 +56,7 @@ class DiagnosticReport:
     summary: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        payload = {
-            "name": self.name,
-            "parameters": self.parameters,
-            "observations": self.observations,
-            "summary": self.summary,
-            "verdict": self.verdict,
-            "witnesses": self.witnesses,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
     def to_csv(self) -> str:
         """Observation table as CSV; column order is first-seen, stable."""
@@ -169,8 +162,9 @@ def sample_close_pair(system: _systems.System, delta: float,
 
 
 def _close_pairs(system: _systems.System, delta: float, pair_samples: int,
-                 rng: np.random.Generator) -> list:
+                 seed: int) -> list:
     """pair_samples random close pairs, preceded by the curated ones."""
+    rng = np.random.default_rng(seed)
     pairs = _curated_close_pairs(system, delta)
     pairs.extend(sample_close_pair(system, delta, rng)
                  for _ in range(pair_samples))
@@ -214,6 +208,39 @@ def _pair_jsonable(system: _systems.System, pair) -> list:
 # diagnostics
 
 
+def _parameters(system: _systems.System, schedule: Schedule | None = None,
+                **values) -> dict:
+    """A report's parameters: the system, the schedule if there is one, and
+    the named values."""
+    params = {"system": system.to_dict(), **values}
+    if schedule is not None:
+        params["schedule"] = list(schedule.checkpoints)
+        params["tail_start"] = schedule.tail_start
+    return params
+
+
+def _pair_report(name: str, params: dict, system: _systems.System, pairs,
+                 observe, summary_key: str, threshold: float) -> DiagnosticReport:
+    """The loop shared by the sampled-pair diagnostics.
+
+    ``observe(i, pair)`` returns the observation rows of the i-th pair and
+    its statistic.  The largest statistic is the summary, a pair whose
+    statistic reaches 10x the threshold is a witness, and the summary
+    against the threshold gives the verdict.
+    """
+    report = DiagnosticReport(name, params)
+    score = 0.0
+    for i, pair in enumerate(pairs):
+        rows, stat = observe(i, pair)
+        report.observations.extend(rows)
+        score = max(score, stat)
+        if stat >= 10 * threshold:
+            report.witnesses.append(_pair_jsonable(system, pair))
+    report.summary[summary_key] = score
+    report.verdict = _verdict(score, threshold)
+    return report
+
+
 def continuity_modulus(system: _systems.System, delta: float, pair_samples: int,
                        schedule: Schedule, seed: int = 0,
                        threshold: float = DEFAULT_THRESHOLD) -> DiagnosticReport:
@@ -222,26 +249,18 @@ def continuity_modulus(system: _systems.System, delta: float, pair_samples: int,
     Samples close pairs (plus curated adversarial pairs for the shift),
     estimates each pair's tail value, and reports the maximum.
     """
-    params = {"system": system.to_dict(), "delta": delta,
-              "pair_samples": pair_samples, "seed": seed,
-              "schedule": list(schedule.checkpoints),
-              "tail_start": schedule.tail_start, "threshold": threshold}
-    report = DiagnosticReport("continuity_modulus", params)
+    params = _parameters(system, schedule, delta=delta, pair_samples=pair_samples,
+                         seed=seed, threshold=threshold)
     if delta <= 0:
-        return report
-    rng = np.random.default_rng(seed)
-    pairs = _close_pairs(system, delta, pair_samples, rng)
-    score = 0.0
-    for i, pair in enumerate(pairs):
-        d0 = system.dist(pair[0], pair[1])
+        return DiagnosticReport("continuity_modulus", params)
+
+    def observe(i, pair):
         tail = ebar_estimate(system, pair[0], pair[1], schedule).tail_sup
-        report.observations.append({"pair": i, "dist": d0, "ebar_tail": tail})
-        score = max(score, tail)
-        if tail >= 10 * threshold:
-            report.witnesses.append(_pair_jsonable(system, pair))
-    report.summary["modulus"] = score
-    report.verdict = _verdict(score, threshold)
-    return report
+        return [{"pair": i, "dist": system.dist(*pair), "ebar_tail": tail}], tail
+
+    return _pair_report("continuity_modulus", params, system,
+                        _close_pairs(system, delta, pair_samples, seed), observe,
+                        "modulus", threshold)
 
 
 def empirical_equicontinuity(system: _systems.System, delta: float,
@@ -249,32 +268,25 @@ def empirical_equicontinuity(system: _systems.System, delta: float,
                              threshold: float = DEFAULT_THRESHOLD) -> DiagnosticReport:
     """Worst Prokhorov distance between empirical measures of close pairs."""
     n_list = [int(n) for n in n_list]
-    params = {"system": system.to_dict(), "delta": delta,
-              "pair_samples": pair_samples, "n_list": n_list, "seed": seed,
-              "threshold": threshold}
-    report = DiagnosticReport("empirical_equicontinuity", params)
+    params = _parameters(system, delta=delta, pair_samples=pair_samples,
+                         n_list=n_list, seed=seed, threshold=threshold)
     if delta <= 0 or not n_list:
-        return report
-    rng = np.random.default_rng(seed)
-    pairs = _close_pairs(system, delta, pair_samples, rng)
+        return DiagnosticReport("empirical_equicontinuity", params)
     n_max = max(n_list)
-    score = 0.0
-    for i, pair in enumerate(pairs):
+
+    def observe(i, pair):
         seg_x = system.orbit_segment(pair[0], n_max)
         seg_y = system.orbit_segment(pair[1], n_max)
         rhos = [prokhorov(empirical_measure(seg_x.prefix(n)),
                           empirical_measure(seg_y.prefix(n)), system)
                 for n in n_list]
-        d0 = system.dist(pair[0], pair[1])
-        for n, r in zip(n_list, rhos):
-            report.observations.append({"pair": i, "dist": d0, "n": n, "rho": r})
-        worst = max(rhos)
-        score = max(score, worst)
-        if worst >= 10 * threshold:
-            report.witnesses.append(_pair_jsonable(system, pair))
-    report.summary["max_rho"] = score
-    report.verdict = _verdict(score, threshold)
-    return report
+        d0 = system.dist(*pair)
+        return ([{"pair": i, "dist": d0, "n": n, "rho": r}
+                 for n, r in zip(n_list, rhos)], max(rhos))
+
+    return _pair_report("empirical_equicontinuity", params, system,
+                        _close_pairs(system, delta, pair_samples, seed), observe,
+                        "max_rho", threshold)
 
 
 def unique_ergodicity_diagnostic(system: _systems.System, point_samples: int,
@@ -287,23 +299,22 @@ def unique_ergodicity_diagnostic(system: _systems.System, point_samples: int,
     """
     if point_samples < 2:
         raise ValueError("need at least two sample points")
-    params = {"system": system.to_dict(), "point_samples": point_samples,
-              "seed": seed, "schedule": list(schedule.checkpoints),
-              "tail_start": schedule.tail_start, "threshold": threshold}
-    report = DiagnosticReport("unique_ergodicity", params)
+    params = _parameters(system, schedule, point_samples=point_samples,
+                         seed=seed, threshold=threshold)
     points = _sample_points(system, point_samples, seed)
-    indexed = [(i, j) for i in range(len(points)) for j in range(i + 1, len(points))]
-    score = 0.0
-    for i, j in indexed:
-        tail = ebar_estimate(system, points[i], points[j], schedule).tail_sup
-        report.observations.append({"i": i, "j": j, "ebar_tail": tail})
-        score = max(score, tail)
-        if tail >= 10 * threshold:
-            report.witnesses.append(_pair_jsonable(system, (points[i], points[j])))
-    report.summary["ebar_diameter"] = score
+    indexed = list(itertools.combinations(range(len(points)), 2))
+    pairs = [(points[i], points[j]) for i, j in indexed]
+
+    def observe(k, pair):
+        tail = ebar_estimate(system, pair[0], pair[1], schedule).tail_sup
+        i, j = indexed[k]
+        return [{"i": i, "j": j, "ebar_tail": tail}], tail
+
+    report = _pair_report("unique_ergodicity", params, system, pairs, observe,
+                          "ebar_diameter", threshold)
     # a sample where every point coincides says nothing about the diameter
-    degenerate = all(system.dist(points[i], points[j]) == 0 for i, j in indexed)
-    report.verdict = VERDICT_INCONCLUSIVE if degenerate else _verdict(score, threshold)
+    if all(system.dist(*pair) == 0 for pair in pairs):
+        report.verdict = VERDICT_INCONCLUSIVE
     return report
 
 
@@ -318,11 +329,9 @@ def omega_distance(system: _systems.System, x, y, schedule: Schedule,
     implication only, so a pair with a large tail is unconstrained and the
     report stays inconclusive.
     """
-    params = {"system": system.to_dict(),
-              "x": _point_jsonable(system, x), "y": _point_jsonable(system, y),
-              "schedule": list(schedule.checkpoints),
-              "tail_start": schedule.tail_start, "cluster_tol": cluster_tol,
-              "rho_threshold": rho_threshold, "small_ebar": small_ebar}
+    params = _parameters(system, schedule, x=_point_jsonable(system, x),
+                         y=_point_jsonable(system, y), cluster_tol=cluster_tol,
+                         rho_threshold=rho_threshold, small_ebar=small_ebar)
     report = DiagnosticReport("omega_distance", params)
     ebar_tail = ebar_estimate(system, x, y, schedule).tail_sup
     omx = omega_hat_estimate(system, x, schedule, cluster_tol)
@@ -409,10 +418,8 @@ def birkhoff_profile(system: _systems.System, observable: str,
     """
     if point_samples < 1:
         raise ValueError("need at least one sample point")
-    params = {"system": system.to_dict(), "observable": observable,
-              "point_samples": point_samples, "seed": seed,
-              "schedule": list(schedule.checkpoints),
-              "tail_start": schedule.tail_start, "threshold": threshold}
+    params = _parameters(system, schedule, observable=observable,
+                         point_samples=point_samples, seed=seed, threshold=threshold)
     report = DiagnosticReport("birkhoff_profile", params)
     points = _sample_points(system, point_samples, seed)
     n_max = schedule.max_n
@@ -458,39 +465,28 @@ def mean_equicontinuity_diagnostic(system: _systems.System, delta: float,
     and (x, x) under the product map, which moves the time average into a
     single product orbit.
     """
-    params = {"system": system.to_dict(), "delta": delta,
-              "pair_samples": pair_samples, "seed": seed,
-              "schedule": list(schedule.checkpoints),
-              "tail_start": schedule.tail_start, "threshold": threshold}
-    report = DiagnosticReport("mean_equicontinuity", params)
+    params = _parameters(system, schedule, delta=delta, pair_samples=pair_samples,
+                         seed=seed, threshold=threshold)
     if delta <= 0 or delta > system.diameter:
-        return report
+        return DiagnosticReport("mean_equicontinuity", params)
     if schedule.max_n > ASSIGNMENT_CAP:
         raise SizeLimitError(
             f"product-system assignment needs max checkpoint <= {ASSIGNMENT_CAP}")
-    rng = np.random.default_rng(seed)
-    pairs = _close_pairs(system, delta, pair_samples, rng)
     prod = _systems.ProductSystem(system, system)
-    n_max = schedule.max_n
-    windows = schedule.tail_checkpoints
-    score = 0.0
-    for i, pair in enumerate(pairs):
+
+    def observe(i, pair):
         x, y = pair
         bes = besicovitch_estimate(system, x, y, schedule).tail_sup
-        weyl = weyl_profile(system, x, y, n_max, windows).sup
+        weyl = weyl_profile(system, x, y, schedule.max_n,
+                            schedule.tail_checkpoints).sup
         prod_tail = ebar_estimate(prod, (x, y), (x, x), schedule).tail_sup
-        report.observations.append({
-            "pair": i, "dist": system.dist(x, y),
-            "besicovitch_tail": bes, "weyl_sup": weyl,
-            "product_ebar_tail": prod_tail,
-        })
-        worst = max(bes, weyl, prod_tail)
-        score = max(score, worst)
-        if worst >= 10 * threshold:
-            report.witnesses.append(_pair_jsonable(system, pair))
-    report.summary["max_statistic"] = score
-    report.verdict = _verdict(score, threshold)
-    return report
+        row = {"pair": i, "dist": system.dist(x, y), "besicovitch_tail": bes,
+               "weyl_sup": weyl, "product_ebar_tail": prod_tail}
+        return [row], max(bes, weyl, prod_tail)
+
+    return _pair_report("mean_equicontinuity", params, system,
+                        _close_pairs(system, delta, pair_samples, seed), observe,
+                        "max_statistic", threshold)
 
 
 def en_equicontinuity_diagnostic(system: _systems.System, delta: float,
@@ -498,27 +494,20 @@ def en_equicontinuity_diagnostic(system: _systems.System, delta: float,
                                  threshold: float = DEFAULT_THRESHOLD) -> DiagnosticReport:
     """Uniform-in-n modulus: worst ebar_n over close pairs and every listed n."""
     n_list = [int(n) for n in n_list]
-    params = {"system": system.to_dict(), "delta": delta,
-              "pair_samples": pair_samples, "n_list": n_list, "seed": seed,
-              "threshold": threshold}
-    report = DiagnosticReport("en_equicontinuity", params)
+    params = _parameters(system, delta=delta, pair_samples=pair_samples,
+                         n_list=n_list, seed=seed, threshold=threshold)
     if delta <= 0 or not n_list:
-        return report
-    rng = np.random.default_rng(seed)
-    pairs = _close_pairs(system, delta, pair_samples, rng)
-    score = 0.0
-    for i, pair in enumerate(pairs):
+        return DiagnosticReport("en_equicontinuity", params)
+
+    def observe(i, pair):
         vals = [ebar_n(system, pair[0], pair[1], n) for n in n_list]
-        d0 = system.dist(pair[0], pair[1])
-        for n, v in zip(n_list, vals):
-            report.observations.append({"pair": i, "dist": d0, "n": n, "ebar_n": v})
-        worst = max(vals)
-        score = max(score, worst)
-        if worst >= 10 * threshold:
-            report.witnesses.append(_pair_jsonable(system, pair))
-    report.summary["max_ebar_n"] = score
-    report.verdict = _verdict(score, threshold)
-    return report
+        d0 = system.dist(*pair)
+        return ([{"pair": i, "dist": d0, "n": n, "ebar_n": v}
+                 for n, v in zip(n_list, vals)], max(vals))
+
+    return _pair_report("en_equicontinuity", params, system,
+                        _close_pairs(system, delta, pair_samples, seed), observe,
+                        "max_ebar_n", threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -582,9 +571,9 @@ def example31_report(config: Example31Config = Example31Config()) -> DiagnosticR
     tail_start = max(0, len(b) - 2)
     schedule = Schedule(tuple(b), tail_start)
 
-    params = {"system": system.to_dict(), "block_lengths": lengths,
-              "checkpoints": b, "k_grid_step": config.k_grid_step,
-              "cluster_tol": config.cluster_tol}
+    params = _parameters(system, block_lengths=lengths, checkpoints=b,
+                         k_grid_step=config.k_grid_step,
+                         cluster_tol=config.cluster_tol)
     report = DiagnosticReport("example31", params)
 
     est = ebar_estimate(system, x, y, schedule)

@@ -16,6 +16,7 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import __version__
@@ -95,11 +96,6 @@ def _positive_float(args, cfg: dict, key: str, flag: str, default=None) -> float
     return value
 
 
-def _threshold(args, cfg: dict) -> float:
-    return _positive_float(args, cfg, "threshold", "--threshold",
-                           _analysis.DEFAULT_THRESHOLD)
-
-
 def _common_values(args, cfg: dict) -> tuple[int, str, bool]:
     seed = _effective(args, cfg, "seed", 0)
     try:
@@ -125,36 +121,45 @@ def _parse_json_arg(text: str, what: str):
             f"{what}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
 
 
+# short --system names -> system kinds; the kinds are valid names as well
+_SYSTEM_ALIASES = {"circle": "circle_rotation", "doubling": "doubling_map",
+                   "tent": "tent_map", "logistic": "logistic_map",
+                   "shift": "binary_shift"}
+
+# system parameter flags -> spec fields
+_SYSTEM_FIELDS = {"alpha": "alpha", "r": "r", "horizon": "shift_horizon"}
+
+
 def _build_system(args, cfg: dict) -> _systems.System:
     name = _effective(args, cfg, "system")
     spec = _effective(args, cfg, "system_json")
     if name is not None and spec is not None:
         raise CliError("conflicting system definitions: give --system or --system-json, not both")
-    if spec is not None:
-        if isinstance(spec, str):
-            spec = _parse_json_arg(spec, "--system-json")
-        try:
-            return _systems.system_from_dict(spec)
-        except ValueError as exc:
-            raise CliError(f"bad system description: {exc}")
+    if spec is None:
+        return _systems.system_from_dict(_named_spec(args, cfg, name))
+    if isinstance(spec, str):
+        spec = _parse_json_arg(spec, "--system-json")
+    try:
+        return _systems.system_from_dict(spec)
+    except ValueError as exc:
+        raise CliError(f"bad system description: {exc}")
+
+
+def _named_spec(args, cfg: dict, name) -> dict:
+    """The system spec of a --system name and the parameter flags."""
     if name is None:
         raise CliError("no system given (use --system or --system-json)")
-    if name in ("circle", "circle_rotation"):
-        alpha = _effective(args, cfg, "alpha")
-        if alpha is None:
-            raise CliError("--alpha is required for the circle rotation")
-        return _systems.CircleRotation(alpha=float(alpha))
-    if name in ("doubling", "doubling_map"):
-        return _systems.DoublingMap()
-    if name in ("tent", "tent_map"):
-        return _systems.TentMap()
-    if name in ("logistic", "logistic_map"):
-        r = _effective(args, cfg, "r", 4.0)
-        return _systems.LogisticMap(r=float(r))
-    if name in ("shift", "binary_shift"):
-        horizon = _effective(args, cfg, "horizon", _systems.DEFAULT_HORIZON)
-        return _systems.BinaryShift(horizon=int(horizon))
-    raise CliError(f"unknown system '{name}'")
+    kind = _SYSTEM_ALIASES.get(name, name) if isinstance(name, str) else None
+    if kind not in _SYSTEM_ALIASES.values():
+        raise CliError(f"unknown system '{name}'")
+    spec = {"kind": kind}
+    for key, field in _SYSTEM_FIELDS.items():
+        value = _effective(args, cfg, key)
+        if value is not None:
+            spec[field] = value
+    if kind == "circle_rotation" and "alpha" not in spec:
+        raise CliError("--alpha is required for the circle rotation")
+    return spec
 
 
 def _parse_scalar(text: str):
@@ -247,16 +252,7 @@ def _preamble(metric: str, system_dict, config: dict) -> list[str]:
 def _emit_report(report: _analysis.DiagnosticReport, config: dict,
                  fmt: str, strict: bool) -> tuple[str, int]:
     if fmt == "json":
-        payload = {
-            "config": config,
-            "version": __version__,
-            "name": report.name,
-            "parameters": report.parameters,
-            "observations": report.observations,
-            "summary": report.summary,
-            "verdict": report.verdict,
-            "witnesses": report.witnesses,
-        }
+        payload = {"config": config, "version": __version__, **asdict(report)}
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
         lines = _preamble(report.name, report.parameters.get("system"), config)
@@ -308,74 +304,57 @@ def _run_pair(args, cfg: dict) -> tuple[str, int]:
     return text, 0
 
 
-def _run_modulus(args, cfg: dict) -> tuple[str, int]:
-    system = _build_system(args, cfg)
-    delta = _positive_float(args, cfg, "delta", "--delta")
-    pairs = _positive_int(args, cfg, "pairs", DEFAULT_PAIR_SAMPLES, "--pairs")
-    threshold = _threshold(args, cfg)
-    schedule = _build_schedule(args, cfg)
-    seed, fmt, strict = _common_values(args, cfg)
-    report = _analysis.continuity_modulus(
-        system, delta, pairs, schedule, seed=seed, threshold=threshold)
-    config = {
-        "command": "modulus", "system": system.to_dict(), "delta": delta,
-        "pairs": pairs, "threshold": threshold,
-        "checkpoints": list(schedule.checkpoints),
-        "tail_start": schedule.tail_start, "seed": seed, "format": fmt,
-    }
-    return _emit_report(report, config, fmt, strict)
-
-
-def _run_ue(args, cfg: dict) -> tuple[str, int]:
-    system = _build_system(args, cfg)
-    points = _positive_int(args, cfg, "points", DEFAULT_POINT_SAMPLES, "--points")
-    threshold = _threshold(args, cfg)
-    schedule = _build_schedule(args, cfg)
-    seed, fmt, strict = _common_values(args, cfg)
-    report = _analysis.unique_ergodicity_diagnostic(
-        system, points, schedule, seed=seed, threshold=threshold)
-    config = {
-        "command": "ue", "system": system.to_dict(), "points": points,
-        "threshold": threshold, "checkpoints": list(schedule.checkpoints),
-        "tail_start": schedule.tail_start, "seed": seed, "format": fmt,
-    }
-    return _emit_report(report, config, fmt, strict)
-
-
-def _run_birkhoff(args, cfg: dict) -> tuple[str, int]:
-    system = _build_system(args, cfg)
+def _observable(args, cfg: dict, system: _systems.System) -> str:
     observable = _effective(args, cfg, "observable")
     if observable is None:
         observable = "symbol0" if system.kind == "binary_shift" else "coordinate"
-    points = _positive_int(args, cfg, "points", DEFAULT_POINT_SAMPLES, "--points")
-    threshold = _threshold(args, cfg)
-    schedule = _build_schedule(args, cfg)
-    seed, fmt, strict = _common_values(args, cfg)
-    report = _analysis.birkhoff_profile(
-        system, observable, points, schedule, seed=seed, threshold=threshold)
-    config = {
-        "command": "birkhoff", "system": system.to_dict(),
-        "observable": observable, "points": points, "threshold": threshold,
-        "checkpoints": list(schedule.checkpoints),
-        "tail_start": schedule.tail_start, "seed": seed, "format": fmt,
-    }
-    return _emit_report(report, config, fmt, strict)
+    return observable
 
 
-def _run_meaneq(args, cfg: dict) -> tuple[str, int]:
-    system = _build_system(args, cfg)
-    delta = _positive_float(args, cfg, "delta", "--delta")
-    pairs = _positive_int(args, cfg, "pairs", DEFAULT_PAIR_SAMPLES, "--pairs")
-    threshold = _threshold(args, cfg)
+# argument key -> (reader(args, cfg, system), keywords of its --key flag)
+_ARGUMENTS = {
+    "delta": (lambda args, cfg, system: _positive_float(args, cfg, "delta", "--delta"),
+              {"type": float, "help": "closeness bound on sampled pairs"}),
+    "pairs": (lambda args, cfg, system: _positive_int(
+                  args, cfg, "pairs", DEFAULT_PAIR_SAMPLES, "--pairs"),
+              {"type": int, "help": "number of sampled pairs"}),
+    "observable": (_observable,
+                   {"help": "observable name (default coordinate/symbol0)"}),
+    "points": (lambda args, cfg, system: _positive_int(
+                   args, cfg, "points", DEFAULT_POINT_SAMPLES, "--points"),
+               {"type": int, "help": "number of sampled points"}),
+    "threshold": (lambda args, cfg, system: _positive_float(
+                      args, cfg, "threshold", "--threshold", _analysis.DEFAULT_THRESHOLD),
+                  {"type": float, "help": "consistency threshold"}),
+}
+
+# command -> (analysis function, argument keys in call order, default
+# schedule length, help); every command also takes a threshold
+_DIAGNOSTICS = {
+    "modulus": (_analysis.continuity_modulus, ("delta", "pairs"),
+                DEFAULT_SCHEDULE_MAX, "mean pseudo-metric modulus over close pairs"),
+    "ue": (_analysis.unique_ergodicity_diagnostic, ("points",),
+           DEFAULT_SCHEDULE_MAX, "unique ergodicity surrogate: empirical diameter"),
+    "birkhoff": (_analysis.birkhoff_profile, ("observable", "points"),
+                 DEFAULT_SCHEDULE_MAX, "spread of Birkhoff averages across points"),
     # the product-orbit route solves a dense assignment per checkpoint, so
     # this command defaults to a shorter schedule than the others
-    schedule = _build_schedule(args, cfg, default_max=MEANEQ_SCHEDULE_MAX)
+    "meaneq": (_analysis.mean_equicontinuity_diagnostic, ("delta", "pairs"),
+               MEANEQ_SCHEDULE_MAX, "mean equicontinuity diagnostic over close pairs"),
+}
+
+
+def _run_diagnostic(args, cfg: dict) -> tuple[str, int]:
+    diagnostic, keys, default_max, _ = _DIAGNOSTICS[args.command]
+    system = _build_system(args, cfg)
+    values = {key: _ARGUMENTS[key][0](args, cfg, system)
+              for key in keys + ("threshold",)}
+    schedule = _build_schedule(args, cfg, default_max=default_max)
     seed, fmt, strict = _common_values(args, cfg)
-    report = _analysis.mean_equicontinuity_diagnostic(
-        system, delta, pairs, schedule, seed=seed, threshold=threshold)
+    report = diagnostic(system, *(values[key] for key in keys), schedule,
+                        seed=seed, threshold=values["threshold"])
     config = {
-        "command": "meaneq", "system": system.to_dict(), "delta": delta,
-        "pairs": pairs, "threshold": threshold,
+        "command": args.command, "system": system.to_dict(), **values,
         "checkpoints": list(schedule.checkpoints),
         "tail_start": schedule.tail_start, "seed": seed, "format": fmt,
     }
@@ -410,10 +389,7 @@ def _run_selftest(args, cfg: dict) -> tuple[None, int]:
 
 _RUNNERS = {
     "pair": _run_pair,
-    "modulus": _run_modulus,
-    "ue": _run_ue,
-    "birkhoff": _run_birkhoff,
-    "meaneq": _run_meaneq,
+    **dict.fromkeys(_DIAGNOSTICS, _run_diagnostic),
     "example31": _run_example31,
     "selftest": _run_selftest,
 }
@@ -435,9 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sysflags = argparse.ArgumentParser(add_help=False)
     sysflags.add_argument("--system",
-                          choices=("circle", "circle_rotation", "doubling",
-                                   "doubling_map", "tent", "tent_map", "logistic",
-                                   "logistic_map", "shift", "binary_shift"),
+                          choices=[name for alias in _SYSTEM_ALIASES.items()
+                                   for name in alias],
                           help="named system")
     sysflags.add_argument("--alpha", type=float, help="rotation angle in [0, 1)")
     sysflags.add_argument("--r", type=float, help="logistic parameter in [0, 4]")
@@ -467,28 +442,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", help="second point")
     p.add_argument("--n", type=int, help="single orbit length instead of a schedule")
 
-    p = sub.add_parser("modulus", parents=[common, sysflags, sched],
-                       help="mean pseudo-metric modulus over close pairs")
-    p.add_argument("--delta", type=float, help="closeness bound on sampled pairs")
-    p.add_argument("--pairs", type=int, help="number of sampled pairs")
-    p.add_argument("--threshold", type=float, help="consistency threshold")
-
-    p = sub.add_parser("ue", parents=[common, sysflags, sched],
-                       help="unique ergodicity surrogate: empirical diameter")
-    p.add_argument("--points", type=int, help="number of sampled points")
-    p.add_argument("--threshold", type=float, help="consistency threshold")
-
-    p = sub.add_parser("birkhoff", parents=[common, sysflags, sched],
-                       help="spread of Birkhoff averages across points")
-    p.add_argument("--observable", help="observable name (default coordinate/symbol0)")
-    p.add_argument("--points", type=int, help="number of sampled points")
-    p.add_argument("--threshold", type=float, help="consistency threshold")
-
-    p = sub.add_parser("meaneq", parents=[common, sysflags, sched],
-                       help="mean equicontinuity diagnostic over close pairs")
-    p.add_argument("--delta", type=float, help="closeness bound on sampled pairs")
-    p.add_argument("--pairs", type=int, help="number of sampled pairs")
-    p.add_argument("--threshold", type=float, help="consistency threshold")
+    for command, (_, keys, _, help_text) in _DIAGNOSTICS.items():
+        p = sub.add_parser(command, parents=[common, sysflags, sched], help=help_text)
+        for key in keys + ("threshold",):
+            p.add_argument("--" + key, **_ARGUMENTS[key][1])
 
     p = sub.add_parser("example31", parents=[common],
                        help="slow-alternation counterexample audit")

@@ -150,11 +150,13 @@ def empirical_measure(seg: _systems.OrbitSegment) -> DiscreteMeasure:
     system = seg.system
     n = seg.length
     if system.geometry == _systems.GEOMETRY_SHIFT:
+        # one K-byte key per window: byte order is tuple order for 0/1 symbols
         K = system.horizon
-        windows = np.lib.stride_tricks.sliding_window_view(seg.data, K)[:n]
-        counts = Counter(tuple(int(s) for s in w) for w in windows)
-        atoms = sorted(counts)
-        return DiscreteMeasure(atoms, [counts[a] / n for a in atoms])
+        windows = np.ascontiguousarray(
+            np.lib.stride_tricks.sliding_window_view(seg.data, K)[:n])
+        _, first, counts = np.unique(windows.view(f"V{K}").ravel(),
+                                     return_index=True, return_counts=True)
+        return DiscreteMeasure(map(tuple, windows[first].tolist()), counts / n)
     if system.geometry == _systems.GEOMETRY_PRODUCT:
         counts = Counter(seg.point(k) for k in range(n))
         atoms = sorted(counts)
@@ -232,9 +234,11 @@ def _sorted_w1(geometry: str, pts: np.ndarray, signed: np.ndarray) -> float:
     """W1 on the line or circle from the merged atoms of both measures in
     ascending order, with mu's weights positive and nu's negative."""
     if geometry == _systems.GEOMETRY_LINE:
+        if not (0 <= pts[0] and pts[-1] <= 1):
+            raise ValueError("line atoms must lie in [0, 1]")
         cdf_diff = np.cumsum(signed)[:-1]
         return float(np.abs(cdf_diff) @ np.diff(pts))
-    if pts[0] < 0 or pts[-1] >= 1:
+    if not (0 <= pts[0] and pts[-1] < 1):
         raise ValueError("circle atoms must lie in [0, 1)")
     g = np.cumsum(signed)
     lengths = np.empty_like(pts)

@@ -231,13 +231,27 @@ def delta_n(system: _systems.System, x, y, n: int, delta: float) -> int:
     """
     if delta < 0:
         raise ValueError("delta must be non-negative")
+    return _threshold_count(_threshold_costs(system, x, y, n), n, delta)
+
+
+def _threshold_costs(system: _systems.System, x, y, n: int) -> np.ndarray:
+    """The cost matrix of the length-n segments, capped at THRESHOLD_CAP."""
     if n > THRESHOLD_CAP:
         raise SizeLimitError(f"threshold matching is capped at n={THRESHOLD_CAP}")
-    seg_x, seg_y = _ordered_segments(system, x, y, n)
-    C = _systems.cost_matrix(seg_x, seg_y)
-    if (np.diagonal(C.entries) <= delta).all():
+    return _systems.cost_matrix(*_ordered_segments(system, x, y, n)).entries
+
+
+def _threshold_count(C: np.ndarray, n: int, delta: float) -> int:
+    """Delta_n from the leading n x n block of a cost matrix.
+
+    Orbit segments of length n are prefixes of longer ones, so that block is
+    the cost matrix of the length-n segments, up to a transpose that leaves
+    the matching size unchanged.
+    """
+    block = C[:n, :n]
+    if (np.diagonal(block) <= delta).all():
         return 0
-    return n - matching.max_matching_under_threshold(C, delta)
+    return n - matching.max_matching_under_threshold(block, delta)
 
 
 def etilde_estimate(system: _systems.System, x, y, schedule: Schedule,
@@ -257,9 +271,10 @@ def etilde_estimate(system: _systems.System, x, y, schedule: Schedule,
         raise ValueError("epsilon grid must lie in (0, diameter]")
 
     tail = schedule.tail_checkpoints
+    C = _threshold_costs(system, x, y, tail[-1])
 
     def qualifies(eps: float) -> bool:
-        worst = max(delta_n(system, x, y, n, eps) / n for n in tail)
+        worst = max(_threshold_count(C, n, eps) / n for n in tail)
         return worst < eps
 
     precision = max(np.diff(grid)) if len(grid) > 1 else grid[0]
@@ -284,10 +299,9 @@ def sandwich_check(system: _systems.System, x, y, n: int,
     """
     if n > ASSIGNMENT_CAP:
         raise SizeLimitError(f"sandwich check needs assignment, capped at {ASSIGNMENT_CAP}")
-    seg_x, seg_y = _ordered_segments(system, x, y, n)
-    C = _systems.cost_matrix(seg_x, seg_y)
+    C = _systems.cost_matrix(*_ordered_segments(system, x, y, n)).entries
     _, mid = matching.min_cost_assignment(C)
-    dn = n - matching.max_matching_under_threshold(C, delta)
+    dn = _threshold_count(C, n, delta)
     lhs = delta * dn
     rhs = dn * system.diameter + delta * (n - dn)
     slack = 1e-12 * max(1.0, n)

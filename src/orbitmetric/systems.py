@@ -128,12 +128,16 @@ class ShiftPoint:
 
 
 def _shift_symbols(point, count: int) -> np.ndarray:
-    """Symbols of a shift point given as ShiftPoint, str, or int sequence."""
+    """Symbols of a shift point given as ShiftPoint, str, or int sequence.
+
+    A sequence is returned unchecked; pass the result, or a stack of such
+    results, through ``_binary`` once.
+    """
     if isinstance(point, ShiftPoint):
         return point.symbols(count)
     if isinstance(point, str):
         return ShiftPoint.from_string(point).symbols(count)
-    arr = np.asarray(point, dtype=np.uint8)
+    arr = np.asarray(point)
     if arr.ndim != 1:
         raise ValueError("shift point must be a one-dimensional symbol sequence")
     if len(arr) < count:
@@ -141,6 +145,13 @@ def _shift_symbols(point, count: int) -> np.ndarray:
             f"finite symbol window of length {len(arr)} cannot supply {count} symbols"
         )
     return arr[:count]
+
+
+def _binary(symbols: np.ndarray) -> np.ndarray:
+    """``symbols`` as a uint8 array; any symbol other than 0 or 1 raises."""
+    if not ((symbols == 0) | (symbols == 1)).all():
+        raise ValueError("shift symbols must be 0 or 1")
+    return symbols.astype(np.uint8, copy=False)
 
 
 def _as_unit_scalar(p, closed_right: bool = False):
@@ -487,7 +498,9 @@ class BinaryShift(System):
 
     def _states(self, atoms) -> np.ndarray:
         rows = [_shift_symbols(p, self.horizon) for p in atoms]
-        return np.stack(rows) if rows else np.zeros((0, self.horizon), dtype=np.uint8)
+        if not rows:
+            return np.zeros((0, self.horizon), dtype=np.uint8)
+        return _binary(np.stack(rows))
 
     def _view(self, seg: OrbitSegment) -> np.ndarray:
         windows = np.lib.stride_tricks.sliding_window_view(seg.data, self.horizon)
@@ -505,8 +518,7 @@ class BinaryShift(System):
         raise ValueError("step requires a ShiftPoint")
 
     def _segment(self, x, n: int) -> OrbitSegment:
-        symbols = _shift_symbols(x, n + self.horizon)
-        return OrbitSegment(self, x, n, symbols)
+        return OrbitSegment(self, x, n, _binary(_shift_symbols(x, n + self.horizon)))
 
     def _segment_point(self, seg: OrbitSegment, k: int) -> tuple[int, ...]:
         return tuple(int(s) for s in seg.data[k:k + self.horizon])

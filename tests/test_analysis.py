@@ -62,9 +62,19 @@ def _split_point_str(s: str):
     return s, ""
 
 
-def test_modulus_zero_delta_is_inconclusive():
-    rep = continuity_modulus(CircleRotation(GOLDEN), 0.0, 5, Schedule.geometric(50))
+@pytest.mark.parametrize("run", [
+    lambda s: continuity_modulus(s, 0.0, 5, Schedule.geometric(50)),
+    lambda s: mean_equicontinuity_diagnostic(s, 0.0, 5, Schedule.geometric(50)),
+    lambda s: empirical_equicontinuity(s, 0.0, 5, [50]),
+    lambda s: en_equicontinuity_diagnostic(s, 0.0, 5, [50]),
+    lambda s: empirical_equicontinuity(s, 0.05, 5, []),
+    lambda s: en_equicontinuity_diagnostic(s, 0.05, 5, []),
+], ids=["modulus-zero_delta", "meaneq-zero_delta", "empirical-zero_delta",
+        "en-zero_delta", "empirical-empty_n_list", "en-empty_n_list"])
+def test_close_pair_diagnostic_without_pairs_is_inconclusive(run):
+    rep = run(CircleRotation(GOLDEN))
     assert rep.verdict == VERDICT_INCONCLUSIVE
+    assert rep.observations == [] and rep.witnesses == [] and rep.summary == {}
 
 
 # --------------------------------------------- empirical equicontinuity

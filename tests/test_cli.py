@@ -108,6 +108,50 @@ def test_flags_override_config_file(tmp_path, capsys):
     assert echoed["seed"] == 9
 
 
+@pytest.mark.parametrize("field", [{"alpha": "0.3"}, {"horizon": 8.0}])
+def test_config_file_system_fields_are_checked_like_system_json(tmp_path, capsys, field):
+    cfg = tmp_path / "run.json"
+    system = "circle" if "alpha" in field else "shift"
+    cfg.write_text(json.dumps({"system": system, **field, "points": 2,
+                               "schedule_max": 10}))
+    code, out, err = run(["ue", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_birkhoff_echoes_config_and_verdict(capsys):
+    code, out, _ = run(["birkhoff", "--system", "shift", "--points", "3",
+                        "--schedule-max", "60", "--seed", "2"], capsys)
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0].startswith("# metric=birkhoff_profile system=")
+    echoed = json.loads(lines[1].removeprefix("# config="))
+    assert set(echoed) == {"command", "system", "observable", "points", "threshold",
+                           "checkpoints", "tail_start", "seed", "format"}
+    assert echoed["command"] == "birkhoff"
+    # the shift's default observable is its leading symbol
+    assert echoed["observable"] == "symbol0"
+    assert echoed["points"] == 3 and echoed["seed"] == 2
+    assert lines[-1] == "# verdict=violated"
+
+
+def test_meaneq_echoes_config_and_verdict(capsys):
+    code, out, _ = run(["meaneq", "--system", "circle", "--alpha", "0.3",
+                        "--delta", "0.05", "--pairs", "2", "--format", "json"],
+                       capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert set(payload["config"]) == {"command", "system", "delta", "pairs",
+                                      "threshold", "checkpoints", "tail_start",
+                                      "seed", "format"}
+    assert payload["config"]["command"] == "meaneq"
+    # meaneq's default schedule is shorter than the other commands'
+    assert payload["config"]["checkpoints"][-1] == cli.MEANEQ_SCHEDULE_MAX
+    assert payload["verdict"] == "inconclusive"
+    assert len(payload["observations"]) == 2
+
+
 def test_malformed_config_reports_position(tmp_path, capsys):
     cfg = tmp_path / "broken.json"
     cfg.write_text('{"system": "circle",\n  "alpha": }')

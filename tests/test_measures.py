@@ -148,7 +148,11 @@ def test_w1_fast_circle_rejects_atoms_outside_unit_interval():
         for mu, nu in ((inside, outside), (outside, inside)):
             with pytest.raises(ValueError, match=r"circle atoms must lie in \[0, 1\)"):
                 wasserstein1_fast_1d(mu, nu, GEOMETRY_CIRCLE)
-        assert wasserstein1_fast_1d(inside, outside, GEOMETRY_LINE) >= 0
+        if bad == 1.0:
+            assert wasserstein1_fast_1d(inside, outside, GEOMETRY_LINE) >= 0
+        else:
+            with pytest.raises(ValueError, match=r"line atoms must lie in \[0, 1\]"):
+                wasserstein1_fast_1d(inside, outside, GEOMETRY_LINE)
 
 
 # ---------------------------------------------------- domain of the metric

@@ -343,6 +343,19 @@ def test_dist_rejects_wrong_point_type():
         CircleRotation(alpha=GOLDEN).dist(1.5, 0.2)
 
 
+def test_shift_rejects_symbols_other_than_zero_and_one():
+    shift = BinaryShift(4)
+    for bad in ((2, 0, 0, 0), (-1, 0, 0, 0), (0, 0, 0.5, 1)):
+        with pytest.raises(ValueError, match="shift symbols must be 0 or 1"):
+            shift.dist(bad, (0, 0, 0, 0))
+        with pytest.raises(ValueError, match="shift symbols must be 0 or 1"):
+            shift.pairwise_dist([(0, 1, 0, 1), bad], [(0, 0, 0, 0)])
+    with pytest.raises(ValueError, match="shift symbols must be 0 or 1"):
+        BinaryShift(3).orbit_segment((0, 2, 0, 1, 1, 0, 1, 0), 3)
+    # sequences of valid symbols keep working, whatever their dtype
+    assert shift.dist(np.array([1, 0, 0, 0, 1]), (1.0, 0, 1, 1)) == 0.25
+
+
 def test_parameter_validation():
     with pytest.raises(ValueError):
         CircleRotation(alpha=1.0)
