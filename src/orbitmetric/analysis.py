@@ -25,6 +25,7 @@ from .measures import (
     hausdorff_measures,
     omega_hat_estimate,
     prokhorov,
+    _shift_prokhorov,
 )
 from .pseudometrics import (
     ASSIGNMENT_CAP,
@@ -537,22 +538,16 @@ def _segment_measure_grid(step: float):
     return [i / m for i in range(m + 1)]
 
 
-def _distance_to_fixed_segment(meas: DiscreteMeasure, system: _systems.System,
+def _distance_to_fixed_segment(meas: DiscreteMeasure, system: _systems.BinaryShift,
                                step: float) -> float:
     """min over the alpha grid of the Prokhorov distance to
     alpha*delta(all zeros) + (1-alpha)*delta(all ones)."""
     K = system.horizon
-    zeros, ones = (0,) * K, (1,) * K
-    best = np.inf
-    for alpha in _segment_measure_grid(step):
-        if alpha <= 0.0:
-            ref = DiscreteMeasure([ones], [1.0])
-        elif alpha >= 1.0:
-            ref = DiscreteMeasure([zeros], [1.0])
-        else:
-            ref = DiscreteMeasure([zeros, ones], [alpha, 1.0 - alpha])
-        best = min(best, prokhorov(meas, ref, system))
-    return float(best)
+    windows = system._states(meas.atoms)
+    ends = system._states([(0,) * K, (1,) * K])
+    return min(_shift_prokhorov(windows, meas.weights, ends,
+                                np.array([alpha, 1.0 - alpha]))
+               for alpha in _segment_measure_grid(step))
 
 
 def example31_report(config: Example31Config = Example31Config()) -> DiagnosticReport:

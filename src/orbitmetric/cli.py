@@ -74,12 +74,24 @@ def _require(args, cfg: dict, key: str, flag: str, default=None):
     return value
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int: an int, an integral float or a decimal string.
+
+    Anything else, a bool or a fractional number included, raises CliError
+    rather than being truncated.
+    """
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise CliError(f"{what} must be an integer, got {value!r}")
+
+
 def _positive_int(args, cfg: dict, key: str, default: int, flag: str) -> int:
-    value = _effective(args, cfg, key, default)
-    try:
-        value = int(value)
-    except (TypeError, ValueError):
-        raise CliError(f"{flag} must be an integer")
+    value = _integer(_effective(args, cfg, key, default), flag)
     if value < 1:
         raise CliError(f"{flag} must be at least 1")
     return value
@@ -97,11 +109,7 @@ def _positive_float(args, cfg: dict, key: str, flag: str, default=None) -> float
 
 
 def _common_values(args, cfg: dict) -> tuple[int, str, bool]:
-    seed = _effective(args, cfg, "seed", 0)
-    try:
-        seed = int(seed)
-    except (TypeError, ValueError):
-        raise CliError("--seed must be an integer")
+    seed = _integer(_effective(args, cfg, "seed", 0), "--seed")
     fmt = _effective(args, cfg, "format", "csv")
     if fmt not in ("csv", "json"):
         raise CliError(f"unknown format '{fmt}' (choose csv or json)")
@@ -217,22 +225,24 @@ def _build_schedule(args, cfg: dict, allow_single_n: bool = False,
         raise CliError("give at most one of --n, --checkpoints, --schedule-max")
     tail_start = _effective(args, cfg, "tail_start")
     try:
+        if tail_start is not None:
+            tail_start = _integer(tail_start, "--tail-start")
         if single is not None:
-            return Schedule((int(single),))
+            return Schedule((_integer(single, "--n"),))
         if checkpoints is not None:
             if isinstance(checkpoints, str):
                 parts = [p for p in checkpoints.split(",") if p.strip()]
+            elif isinstance(checkpoints, list):
+                parts = checkpoints
             else:
-                parts = list(checkpoints)
-            try:
-                cps = tuple(int(p) for p in parts)
-            except (TypeError, ValueError):
                 raise CliError(f"bad checkpoint list '{checkpoints}'")
-            return Schedule(cps, int(tail_start) if tail_start is not None else 0)
-        max_n = int(schedule_max) if schedule_max is not None else default_max
+            cps = tuple(_integer(p, "each checkpoint") for p in parts)
+            return Schedule(cps, tail_start or 0)
+        max_n = (_integer(schedule_max, "--schedule-max")
+                 if schedule_max is not None else default_max)
         schedule = Schedule.geometric(max_n)
         if tail_start is not None:
-            schedule = Schedule(schedule.checkpoints, int(tail_start))
+            schedule = Schedule(schedule.checkpoints, tail_start)
         return schedule
     except ValueError as exc:
         raise CliError(f"bad schedule: {exc}")
@@ -370,7 +380,7 @@ def _run_example31(args, cfg: dict) -> tuple[str, int]:
         except ValueError:
             raise CliError(f"bad block rule '{rule}' (use 'factorial' or a comma list)")
     elif isinstance(rule, (list, tuple)):
-        rule = tuple(int(p) for p in rule)
+        rule = tuple(_integer(p, "each block length") for p in rule)
     seed, fmt, strict = _common_values(args, cfg)
     config_obj = _analysis.Example31Config(block_rule=rule, n_blocks=blocks)
     report = _analysis.example31_report(config_obj)

@@ -4,8 +4,11 @@ The measures here are finitely supported probability measures whose atoms
 are system states (numbers, symbol windows, or pairs).  Three distances are
 provided: exact Wasserstein-1 via the transportation linear program, exact
 closed-form Wasserstein-1 for one-dimensional geometries, and the exact
-one-sided Prokhorov metric via max-flow feasibility over the finitely many
-candidate intervals between pairwise distances.
+one-sided Prokhorov metric.  Prokhorov takes its route from the geometry:
+the shift reads it off the cylinder tree of its ultrametric; the line runs
+a greedy sweep and the circle and products Dinic's max flow, each at the
+thresholds of a monotone search over the pairwise distances.  The Dinic
+flow and the subset enumeration ``prokhorov_oracle`` check the other routes.
 """
 from __future__ import annotations
 
@@ -265,31 +268,48 @@ def prokhorov(mu: DiscreteMeasure, nu: DiscreteMeasure,
     """One-sided Prokhorov distance, computed exactly.
 
     inf { eps > 0 : mu(B) <= nu(B^eps) + eps for every B }, with the open
-    eps-hull.  The admissible-edge graph changes only at pairwise support
-    distances, and on each interval between breakpoints the worst deficiency
-    sup_B (mu(B) - nu(B^eps)) equals 1 minus a max-flow value, so the exact
-    infimum is found by a monotone search over the intervals.
+    eps-hull.  For eps just above a threshold t the worst deficiency
+    sup_B (mu(B) - nu(B^eps)) is def(t), the mass of mu that a maximum flow
+    along the pairs at distance <= t leaves unsent (1 - maxflow), and the
+    distance is the least max(t, def(t)) over the thresholds t that are
+    pairwise support distances (0 included).  Each geometry computes def(t)
+    on its own route:
+
+    * shift: the window metric is an ultrametric, so def at 2**-k sums the
+      surplus mass of mu over the length-k cylinders; every level comes from
+      one sort of the atoms, and no search or flow network is needed;
+    * line: a greedy sweep in atom order (see ``_line_deficiency``);
+    * circle and products: Dinic max flow on the admissible pairs.
+
+    The line, circle and products find the least value by a monotone search
+    over the sorted thresholds.
     """
+    if system.geometry == _systems.GEOMETRY_SHIFT:
+        return _shift_prokhorov(system._states(mu.atoms), mu.weights,
+                                system._states(nu.atoms), nu.weights)
     D = system.pairwise_dist(mu.atoms, nu.atoms)
-    return _prokhorov_from_dist(D, mu.weights, nu.weights)
+    if system.geometry == _systems.GEOMETRY_LINE:
+        return _breakpoint_search(D, _line_deficiency(D, mu.weights, nu.weights))
+    return _breakpoint_search(D, _flow_deficiency(D, mu.weights, nu.weights))
 
 
-def _prokhorov_from_dist(D: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> float:
+def _breakpoint_search(D: np.ndarray, deficiency) -> float:
+    """Least max(t, deficiency(t)) over t in {0} and the entries of ``D``.
+
+    ``deficiency`` must be non-increasing in t."""
     lefts = np.unique(np.concatenate([[0.0], D.ravel()]))
     n_iv = len(lefts)
 
     deficiency_cache: dict[int, float] = {}
 
-    def deficiency(k: int) -> float:
+    def deficiency_at(k: int) -> float:
         if k not in deficiency_cache:
-            rows, cols = np.nonzero(D <= lefts[k])
-            flow = _max_flow_bipartite(wa, wb, rows, cols)
-            deficiency_cache[k] = 1.0 - flow
+            deficiency_cache[k] = deficiency(lefts[k])
         return deficiency_cache[k]
 
     def feasible(k: int) -> bool:
         right = lefts[k + 1] if k + 1 < n_iv else np.inf
-        return deficiency(k) <= right
+        return deficiency_at(k) <= right
 
     # deficiency is non-increasing and interval right ends increase, so the
     # feasible intervals form a suffix; find its first index
@@ -308,7 +328,81 @@ def _prokhorov_from_dist(D: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> float
             else:
                 lo = mid
         k0 = hi
-    return max(float(lefts[k0]), deficiency(k0), 0.0)
+    return max(float(lefts[k0]), deficiency_at(k0), 0.0)
+
+
+def _flow_deficiency(D: np.ndarray, wa: np.ndarray, wb: np.ndarray):
+    """t -> 1 - maxflow along the pairs with D <= t, by Dinic's algorithm."""
+    def deficiency(t: float) -> float:
+        rows, cols = np.nonzero(D <= t)
+        return 1.0 - _max_flow_bipartite(wa, wb, rows, cols)
+    return deficiency
+
+
+def _line_deficiency(D: np.ndarray, wa: np.ndarray, wb: np.ndarray):
+    """t -> the mass of ``wa`` that a maximum flow along the pairs with
+    D <= t leaves unsent, by a greedy sweep.
+
+    Rows and columns of ``D`` are line atoms in ascending order, and
+    |u - v| rounds monotonically in v on either side of u.  So each row's
+    columns within t form an interval, and both of its ends move right from
+    row to row (a convex bipartite graph): a later row reaches only a suffix
+    of the columns an earlier row reaches.  Sending each row's mass to the
+    leftmost free column mass first is therefore a maximum flow.
+    """
+    supply = wa.tolist()
+    n = D.shape[1]
+
+    def deficiency(t: float) -> float:
+        near = D <= t
+        firsts = near.argmax(axis=1).tolist()
+        ends = np.where(near.any(axis=1),
+                        n - near[:, ::-1].argmax(axis=1), 0).tolist()
+        free = wb.tolist()
+        unsent = 0.0
+        j = 0  # columns left of j are full or out of every later reach
+        for w, first, end in zip(supply, firsts, ends):
+            if first > j:
+                j = first
+            while w > 0.0 and j < end:
+                if w < free[j]:
+                    free[j] -= w
+                    w = 0.0
+                    break
+                w -= free[j]
+                j += 1
+            unsent += w
+        return unsent
+    return deficiency
+
+
+def _shift_prokhorov(sa: np.ndarray, wa: np.ndarray,
+                     sb: np.ndarray, wb: np.ndarray) -> float:
+    """Prokhorov on the shift from the windows ``sa``, ``sb`` of two measures.
+
+    Windows lie within 2**-k iff they share their first k symbols, so the
+    pairs at distance <= 2**-k join each length-k cylinder C to itself and
+    def_k = sum over C of (mu(C) - nu(C))+.  With K the horizon,
+    rho = min(def_K, min over 1 <= k < K of max(2**-k, def_k), 1).
+    """
+    K = sa.shape[1]
+    windows = np.concatenate([sa, sb])
+    mass = np.zeros((len(windows), 2))
+    mass[:len(sa), 0] = wa
+    mass[len(sa):, 1] = wb
+    # byte order is lexicographic order, so every cylinder is a run
+    order = np.argsort(windows.view(f"V{K}").ravel(), kind="stable")
+    windows, mass = windows[order], mass[order]
+    differ = windows[1:] != windows[:-1]
+    # first symbol where each window differs from the next, K if none
+    split = np.where(differ.any(axis=1), differ.argmax(axis=1), K)
+    rho = 1.0
+    for k in range(1, K + 1):
+        starts = np.concatenate([[0], np.flatnonzero(split < k) + 1])
+        cylinders = np.add.reduceat(mass, starts)
+        surplus = float(np.maximum(cylinders[:, 0] - cylinders[:, 1], 0.0).sum())
+        rho = min(rho, surplus if k == K else max(2.0 ** -k, surplus))
+    return rho
 
 
 def _max_flow_bipartite(wa: np.ndarray, wb: np.ndarray,

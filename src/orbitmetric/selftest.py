@@ -73,16 +73,22 @@ def _check_shift_tree(rng: np.random.Generator) -> str | None:
 
 
 def _check_prokhorov(rng: np.random.Generator) -> str | None:
-    dbl = systems.DoublingMap()
-    for _ in range(20):
-        mu = _random_measure(rng, int(rng.integers(1, 8)))
-        nu = _random_measure(rng, int(rng.integers(1, 8)))
-        gap = abs(measures.prokhorov(mu, nu, dbl)
-                  - measures.prokhorov_oracle(mu, nu, dbl))
-        if gap > 1e-9:
-            return f"flow vs subset oracle off by {gap:.2e}"
+    # one system per route: line sweep, Dinic flow on the circle, shift tree
+    routes = [(systems.DoublingMap(), lambda k: rng.random(k)),
+              (systems.CircleRotation(alpha=0.3), lambda k: rng.random(k)),
+              (systems.BinaryShift(3),
+               lambda k: list(map(tuple, rng.integers(0, 2, (k, 3)).tolist())))]
+    for system, atoms in routes:
+        for _ in range(10):
+            m, n = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+            mu = measures.DiscreteMeasure(atoms(m), rng.dirichlet(np.ones(m)))
+            nu = measures.DiscreteMeasure(atoms(n), rng.dirichlet(np.ones(n)))
+            gap = abs(measures.prokhorov(mu, nu, system)
+                      - measures.prokhorov_oracle(mu, nu, system))
+            if gap > 1e-9:
+                return f"{system.geometry} route vs subset oracle off by {gap:.2e}"
     a, b = measures.DiscreteMeasure.dirac(0.1), measures.DiscreteMeasure.dirac(0.9)
-    if measures.prokhorov(a, b, dbl) != 0.8:
+    if measures.prokhorov(a, b, systems.DoublingMap()) != 0.8:
         return "dirac pair is not exact"
     return None
 
@@ -170,7 +176,7 @@ _CHECKS = [
     ("matched average equals transport", _check_matching_identity),
     ("fast 1-D Wasserstein vs LP", _check_fast_w1),
     ("shift cylinder tree vs assignment", _check_shift_tree),
-    ("prokhorov flow vs subset oracle", _check_prokhorov),
+    ("prokhorov routes vs subset oracle", _check_prokhorov),
     ("sandwich inequalities", _check_sandwich),
     ("birkhoff decomposition", _check_birkhoff),
     ("pseudometric symmetry and dominance", _check_pseudometrics),

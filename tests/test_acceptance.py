@@ -131,7 +131,7 @@ def test_prokhorov_flow_matches_subset_oracle():
         dirac_exact = dirac_exact and got == min(abs(a - b), 1.0)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and dirac_exact
-    _report(4, "prokhorov flow search equals subset oracle", ok, elapsed, budget)
+    _report(4, "prokhorov line sweep equals subset oracle", ok, elapsed, budget)
     assert worst <= 1e-9, f"worst deviation {worst}"
     assert dirac_exact
     assert elapsed < budget

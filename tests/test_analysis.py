@@ -261,6 +261,9 @@ def test_example31_default_blocks():
     assert all(row["bound_holds"] for row in rep.observations)
     assert rep.observations[-1]["lower_bound"] == pytest.approx(63 / 97, abs=1e-12)
     assert rep.summary["ebar_tail"] >= 0.64
+    # both orbit measures lie 18/873 = 2/97 from the fixed-point segment
+    assert rep.summary["rho_x_to_segment"] == pytest.approx(2 / 97, abs=1e-15)
+    assert rep.summary["rho_y_to_segment"] == pytest.approx(2 / 97, abs=1e-15)
 
 
 def test_example31_custom_block_rule():

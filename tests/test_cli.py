@@ -120,6 +120,26 @@ def test_config_file_system_fields_are_checked_like_system_json(tmp_path, capsys
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("field, flag", [({"points": 2.9}, "--points"),
+                                         ({"schedule_max": 10.7}, "--schedule-max"),
+                                         ({"tail_start": 1.9}, "--tail-start")])
+def test_config_file_counts_must_be_integers(tmp_path, capsys, field, flag):
+    cfg = tmp_path / "run.json"
+    values = {"system": "circle", "alpha": 0.3, "points": 2, "schedule_max": 10,
+              "tail_start": 1}
+    cfg.write_text(json.dumps({**values, **field}))
+    code, out, err = run(["ue", "--config", str(cfg)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {flag} must be an integer")
+    # integral floats are exact, so they are taken as they are
+    cfg.write_text(json.dumps({**values, **{k: float(v) for k, v in values.items()
+                                            if k != "system"}}))
+    code, out, _ = run(["ue", "--config", str(cfg)], capsys)
+    assert code == 0
+    echoed = json.loads(out.splitlines()[1].removeprefix("# config="))
+    assert (echoed["points"], echoed["checkpoints"][-1], echoed["tail_start"]) == (2, 10, 1)
+
+
 def test_birkhoff_echoes_config_and_verdict(capsys):
     code, out, _ = run(["birkhoff", "--system", "shift", "--points", "3",
                         "--schedule-max", "60", "--seed", "2"], capsys)

@@ -10,6 +10,7 @@ from orbitmetric import (
     DiscreteMeasure,
     DoublingMap,
     InsufficientTailError,
+    LogisticMap,
     MeasureSet,
     Schedule,
     ShiftPoint,
@@ -24,6 +25,8 @@ from orbitmetric import (
     wasserstein1,
     wasserstein1_fast_1d,
 )
+from orbitmetric import measures
+from orbitmetric.measures import ORACLE_SUPPORT_LIMIT
 from orbitmetric.systems import GEOMETRY_CIRCLE, GEOMETRY_LINE, TentMap
 
 W1_TOL = 1e-9
@@ -282,6 +285,91 @@ def test_prokhorov_oracle_support_guard():
     mu = DiscreteMeasure(atoms, [1 / 13] * 13)
     with pytest.raises(SizeLimitError):
         prokhorov_oracle(mu, DiscreteMeasure.dirac(0.0), TentMap())
+
+
+def _flow_prokhorov(mu, nu, system):
+    """Prokhorov through the Dinic flow, the route of the circle and products."""
+    D = system.pairwise_dist(mu.atoms, nu.atoms)
+    return measures._breakpoint_search(
+        D, measures._flow_deficiency(D, mu.weights, nu.weights))
+
+
+def _route_cases(rng):
+    """Pairs of measures on the line route and on the shift route."""
+    logistic, tent = LogisticMap(4.0), TentMap()
+    for _ in range(8):
+        seg_x = logistic.orbit_segment(float(rng.random()), int(rng.integers(5, 300)))
+        seg_y = logistic.orbit_segment(float(rng.random()), int(rng.integers(5, 300)))
+        yield logistic, empirical_measure(seg_x), empirical_measure(seg_y)
+    for _ in range(8):
+        # atoms on a dyadic grid, so that many pairs tie at each threshold
+        k, m = int(rng.integers(1, 13)), int(rng.integers(1, 13))
+        mu = DiscreteMeasure(rng.integers(0, 9, k) / 8, rng.dirichlet(np.ones(k)))
+        nu = DiscreteMeasure(rng.integers(0, 9, m) / 8, rng.dirichlet(np.ones(m)))
+        yield tent, mu, nu
+    for horizon in (3, 5, 30):
+        shift = BinaryShift(horizon)
+        for _ in range(6):
+            seg_x = shift.orbit_segment(sample_point(shift, rng), int(rng.integers(5, 300)))
+            seg_y = shift.orbit_segment(sample_point(shift, rng), int(rng.integers(5, 300)))
+            yield shift, empirical_measure(seg_x), empirical_measure(seg_y)
+    for system, a, b in ((tent, 0.25, 0.75), (BinaryShift(5), (0,) * 5, (1,) * 5)):
+        for x, y in ((a, b), (b, a)):
+            mu = empirical_measure(system.orbit_segment(sample_point(system, rng), 40))
+            two = DiscreteMeasure([x, y], [0.3, 0.7])
+            yield system, mu, DiscreteMeasure.dirac(x)
+            yield system, mu, two
+            yield system, two, mu
+            yield system, mu, mu
+
+
+def test_line_and_shift_routes_match_dinic_flow():
+    for system, mu, nu in _route_cases(np.random.default_rng(27)):
+        assert prokhorov(mu, nu, system) == pytest.approx(
+            _flow_prokhorov(mu, nu, system), abs=1e-12)
+
+
+def test_line_and_shift_routes_match_subset_oracle():
+    checked = 0
+    for system, mu, nu in _route_cases(np.random.default_rng(28)):
+        if mu.support_size <= ORACLE_SUPPORT_LIMIT:
+            assert prokhorov(mu, nu, system) == pytest.approx(
+                prokhorov_oracle(mu, nu, system), abs=1e-12)
+            checked += 1
+    assert checked >= 15
+
+
+def test_identical_measures_vanish_on_line_and_shift_routes():
+    rng = np.random.default_rng(29)
+    for system in (LogisticMap(4.0), BinaryShift(30)):
+        mu = empirical_measure(system.orbit_segment(sample_point(system, rng), 200))
+        assert prokhorov(mu, mu, system) == 0.0
+
+
+def test_only_circle_and_products_build_a_flow_network(monkeypatch):
+    def no_flow(*args):
+        raise AssertionError("flow network built")
+    monkeypatch.setattr(measures, "_max_flow_bipartite", no_flow)
+    for system, mu, nu in _route_cases(np.random.default_rng(30)):
+        prokhorov(mu, nu, system)
+    mu, nu = DiscreteMeasure([0.1, 0.6], [0.5, 0.5]), DiscreteMeasure.dirac(0.3)
+    with pytest.raises(AssertionError, match="flow network built"):
+        prokhorov(mu, nu, CircleRotation(0.3))
+
+
+@pytest.mark.parametrize("system, good, bad, error", [
+    (TentMap(), 0.5, 1.5, ValueError),
+    (TentMap(), 0.5, -0.25, ValueError),
+    (BinaryShift(4), (0, 1, 1, 0), (0, 1, 1), InsufficientTailError),
+    (BinaryShift(4), (0, 1, 1, 0), (0, 2, 1, 0), ValueError),
+    (BinaryShift(4), (0, 1, 1, 0), (0, 1, -1, 0), ValueError),
+])
+def test_prokhorov_routes_reject_atoms_outside_the_domain(system, good, bad, error):
+    inside = DiscreteMeasure.dirac(good)
+    outside = DiscreteMeasure([good, bad], [0.5, 0.5])
+    for mu, nu in ((inside, outside), (outside, inside)):
+        with pytest.raises(error):
+            prokhorov(mu, nu, system)
 
 
 # -------------------------------------------------------------- hausdorff
