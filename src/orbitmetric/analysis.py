@@ -533,21 +533,15 @@ class Example31Config:
         return _systems.block_lengths(self.block_rule, self.n_blocks)
 
 
-def _segment_measure_grid(step: float):
-    m = int(round(1.0 / step))
-    return [i / m for i in range(m + 1)]
-
-
 def _distance_to_fixed_segment(meas: DiscreteMeasure, system: _systems.BinaryShift,
                                step: float) -> float:
     """min over the alpha grid of the Prokhorov distance to
     alpha*delta(all zeros) + (1-alpha)*delta(all ones)."""
-    K = system.horizon
-    windows = system._states(meas.atoms)
-    ends = system._states([(0,) * K, (1,) * K])
-    return min(_shift_prokhorov(windows, meas.weights, ends,
-                                np.array([alpha, 1.0 - alpha]))
-               for alpha in _segment_measure_grid(step))
+    K, m = system.horizon, int(round(1.0 / step))
+    alpha = np.arange(m + 1) / m
+    return float(_shift_prokhorov(system._states(meas.atoms), meas.weights,
+                                  system._states([(0,) * K, (1,) * K]),
+                                  np.stack([alpha, 1.0 - alpha])).min())
 
 
 def example31_report(config: Example31Config = Example31Config()) -> DiagnosticReport:

@@ -124,7 +124,7 @@ def _mask_matching(mask: np.ndarray) -> tuple[int, np.ndarray]:
 def max_matching_under_threshold(cost, delta: float) -> int:
     """Size of a maximum matching on pairs with cost <= delta."""
     C = _cost_entries(cost)
-    if delta < 0:
+    if not delta >= 0:
         raise ValueError("threshold must be non-negative")
     size, _ = _mask_matching(C <= delta)
     return size

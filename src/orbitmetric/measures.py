@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import block_diag
 from scipy.optimize import linprog
 
 from .errors import SizeLimitError
@@ -111,6 +112,9 @@ class Schedule:
         cps = self.checkpoints
         if len(cps) == 0:
             raise ValueError("schedule needs at least one checkpoint")
+        if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool)
+                   for c in (*cps, self.tail_start)):
+            raise ValueError("checkpoints and tail_start must be integers")
         if cps[0] < 1 or any(b <= a for a, b in zip(cps, cps[1:])):
             raise ValueError("checkpoints must be strictly increasing and >= 1")
         if not 0 <= self.tail_start < len(cps):
@@ -119,7 +123,7 @@ class Schedule:
     @classmethod
     def geometric(cls, max_n: int, ratio: float = 1.5, tail: int = 5) -> "Schedule":
         """Checkpoints round(ratio**k) up to max_n, tail at the last ``tail``."""
-        if max_n < 1:
+        if not max_n >= 1:
             raise ValueError("max_n must be at least 1")
         if not ratio > 1:
             raise ValueError("ratio must be greater than 1")
@@ -153,13 +157,11 @@ def empirical_measure(seg: _systems.OrbitSegment) -> DiscreteMeasure:
     system = seg.system
     n = seg.length
     if system.geometry == _systems.GEOMETRY_SHIFT:
-        # one K-byte key per window: byte order is tuple order for 0/1 symbols
-        K = system.horizon
-        windows = np.ascontiguousarray(
-            np.lib.stride_tricks.sliding_window_view(seg.data, K)[:n])
-        _, first, counts = np.unique(windows.view(f"V{K}").ravel(),
-                                     return_index=True, return_counts=True)
-        return DiscreteMeasure(map(tuple, windows[first].tolist()), counts / n)
+        windows = system._view(seg)
+        order, split = _cylinder_order(windows)
+        starts = np.flatnonzero(np.concatenate([[True], split < system.horizon]))
+        return DiscreteMeasure(map(tuple, windows[order[starts]].tolist()),
+                               np.diff(starts, append=n) / n)
     if system.geometry == _systems.GEOMETRY_PRODUCT:
         counts = Counter(seg.point(k) for k in range(n))
         atoms = sorted(counts)
@@ -251,6 +253,19 @@ def _sorted_w1(geometry: str, pts: np.ndarray, signed: np.ndarray) -> float:
     return float(np.abs(g - shift) @ lengths)
 
 
+def _cylinder_order(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable lexicographic order of a stack of 0/1 windows of length K, and
+    ``split``: where each neighbouring pair in that order first differs (K if
+    none).  Windows lie within 2**-k iff they share their first k symbols, so
+    the length-k cylinders are the runs that ``split < k`` cuts apart."""
+    K = windows.shape[1]
+    # byte order is lexicographic order for 0/1 symbols
+    order = np.argsort(np.ascontiguousarray(windows).view(f"V{K}").ravel(),
+                       kind="stable")
+    differ = np.diff(windows[order], axis=0) != 0
+    return order, np.where(differ.any(axis=1), differ.argmax(axis=1), K)
+
+
 def _weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
     order = np.argsort(values, kind="stable")
     cum = np.cumsum(weights[order])
@@ -285,8 +300,8 @@ def prokhorov(mu: DiscreteMeasure, nu: DiscreteMeasure,
     over the sorted thresholds.
     """
     if system.geometry == _systems.GEOMETRY_SHIFT:
-        return _shift_prokhorov(system._states(mu.atoms), mu.weights,
-                                system._states(nu.atoms), nu.weights)
+        return float(_shift_prokhorov(system._states(mu.atoms), mu.weights,
+                                      system._states(nu.atoms), nu.weights[:, None])[0])
     D = system.pairwise_dist(mu.atoms, nu.atoms)
     if system.geometry == _systems.GEOMETRY_LINE:
         return _breakpoint_search(D, _line_deficiency(D, mu.weights, nu.weights))
@@ -377,31 +392,24 @@ def _line_deficiency(D: np.ndarray, wa: np.ndarray, wb: np.ndarray):
 
 
 def _shift_prokhorov(sa: np.ndarray, wa: np.ndarray,
-                     sb: np.ndarray, wb: np.ndarray) -> float:
-    """Prokhorov on the shift from the windows ``sa``, ``sb`` of two measures.
+                     sb: np.ndarray, wb: np.ndarray) -> np.ndarray:
+    """Prokhorov on the shift from the windows ``sa``, ``sb`` of two
+    measures, one value for each column of nu weights in ``wb``.
 
-    Windows lie within 2**-k iff they share their first k symbols, so the
-    pairs at distance <= 2**-k join each length-k cylinder C to itself and
-    def_k = sum over C of (mu(C) - nu(C))+.  With K the horizon,
+    The pairs at distance <= 2**-k join each length-k cylinder C to itself,
+    so def_k = sum over C of (mu(C) - nu(C))+.  With K the horizon,
     rho = min(def_K, min over 1 <= k < K of max(2**-k, def_k), 1).
     """
     K = sa.shape[1]
-    windows = np.concatenate([sa, sb])
-    mass = np.zeros((len(windows), 2))
-    mass[:len(sa), 0] = wa
-    mass[len(sa):, 1] = wb
-    # byte order is lexicographic order, so every cylinder is a run
-    order = np.argsort(windows.view(f"V{K}").ravel(), kind="stable")
-    windows, mass = windows[order], mass[order]
-    differ = windows[1:] != windows[:-1]
-    # first symbol where each window differs from the next, K if none
-    split = np.where(differ.any(axis=1), differ.argmax(axis=1), K)
-    rho = 1.0
+    order, split = _cylinder_order(np.concatenate([sa, sb]))
+    # one row per measure: a row sums pairwise as a 1-d array does; a column would not
+    mass = block_diag(wa, wb.T)[:, order]
+    rho = np.ones(wb.shape[1])
     for k in range(1, K + 1):
         starts = np.concatenate([[0], np.flatnonzero(split < k) + 1])
-        cylinders = np.add.reduceat(mass, starts)
-        surplus = float(np.maximum(cylinders[:, 0] - cylinders[:, 1], 0.0).sum())
-        rho = min(rho, surplus if k == K else max(2.0 ** -k, surplus))
+        cylinders = np.add.reduceat(mass, starts, axis=1)
+        surplus = np.maximum(cylinders[0] - cylinders[1:], 0.0).sum(axis=1)
+        rho = np.minimum(rho, surplus if k == K else np.maximum(2.0 ** -k, surplus))
     return rho
 
 
@@ -535,7 +543,7 @@ def omega_hat_estimate(system: _systems.System, x, schedule: Schedule,
     clusters them under the Prokhorov metric with radius ``cluster_tol``;
     the first member of each cluster is its representative.
     """
-    if cluster_tol < 0:
+    if not cluster_tol >= 0:
         raise ValueError("cluster tolerance must be non-negative")
     seg = system.orbit_segment(x, schedule.max_n)
     reps: list[DiscreteMeasure] = []

@@ -16,7 +16,7 @@ import numpy as np
 from . import matching
 from . import systems as _systems
 from .errors import SizeLimitError
-from .measures import Schedule, _sorted_w1
+from .measures import Schedule, _cylinder_order, _sorted_w1
 # unused here; orbitbench's tracer wraps these two names in this module
 from .measures import _w1_circle, _w1_line  # noqa: F401
 
@@ -97,11 +97,11 @@ def _ordered_segments(system: _systems.System, x, y, n: int):
 def _fast_values(system: _systems.System, seg_x: _systems.OrbitSegment,
                  seg_y: _systems.OrbitSegment, checkpoints) -> list[float]:
     """ebar_n for each checkpoint n (increasing, the last one the segment
-    length) from one sort (line, circle) or one encoding (shift) of the
-    full segments.
+    length) from one sort of the full segments' states or shift windows.
 
-    1-d: a stable order restricted to a prefix is the prefix's own stable
-    order, so filtering the full sort reproduces each fresh W1 exactly.
+    A stable order restricted to a prefix is the prefix's own stable order,
+    so filtering the full sort reproduces each fresh sort exactly; two kept
+    windows first differ at the least split between them.
 
     Shift: n * W1 between the window empiricals by cylinder counting.  The
     window metric is an ultrametric, so the transport optimum has the closed
@@ -111,33 +111,34 @@ def _fast_values(system: _systems.System, seg_x: _systems.OrbitSegment,
     lengths are dyadic, so the accumulation below is exact.
     """
     N = seg_x.length
-    if system.geometry != _systems.GEOMETRY_SHIFT:
+    shift = system.geometry == _systems.GEOMETRY_SHIFT
+    if shift:
+        K = system.horizon
+        pos, split = _cylinder_order(
+            np.concatenate([system._view(seg_x), system._view(seg_y)]))
+    else:
         pts = np.concatenate([seg_x.data, seg_y.data])
         pos = np.argsort(pts, kind="stable")
         pts = pts[pos]
-        is_x = pos < N
-        pos %= N
-        values = []
-        for n in reversed(checkpoints):
-            keep = pos < n
-            pts, is_x, pos = pts[keep], is_x[keep], pos[keep]
-            w = 1.0 / n
-            values.append(_sorted_w1(system.geometry, pts, np.where(is_x, w, -w)))
-        return values[::-1]
-    K = system.horizon
-    # interleaved rows x_0, y_0, x_1, y_1, ...: a length-n prefix is the
-    # first 2n entries, and the signs alternate
-    symbols = np.stack([seg_x.data, seg_y.data], axis=1)
-    enc = np.zeros((N, 2), dtype=np.int64)
-    signs = np.tile([1.0, -1.0], N)
-    units = [0] * len(checkpoints)  # in units of 2**-K
-    for k in range(1, K + 1):
-        enc = enc * 2 + symbols[k - 1:k - 1 + N]
-        _, codes = np.unique(enc.ravel(), return_inverse=True)
-        for i, n in enumerate(checkpoints):
-            counts = np.bincount(codes[:2 * n], weights=signs[:2 * n])
-            units[i] += int(np.abs(counts).sum()) << (K - k if k == K else K - k - 1)
-    return [float(u) * 2.0 ** -K / n for u, n in zip(units, checkpoints)]
+    signs = np.where(pos < N, 1, -1)
+    pos %= N
+    values = []
+    for n in reversed(checkpoints):
+        keep = pos < n
+        signs, pos = signs[keep], pos[keep]
+        if not shift:
+            pts = pts[keep]
+            values.append(_sorted_w1(system.geometry, pts, signs / n))
+            continue
+        rows = np.flatnonzero(keep)
+        split = np.minimum.reduceat(split[:rows[-1]], rows[:-1])
+        units = 0  # in units of 2**-K
+        for k in range(1, K + 1):
+            starts = np.concatenate([[0], np.flatnonzero(split < k) + 1])
+            counts = np.add.reduceat(signs, starts)
+            units += int(np.abs(counts).sum()) << (K - k if k == K else K - k - 1)
+        values.append(float(units) * 2.0 ** -K / n)
+    return values[::-1]
 
 
 def _ebar_values(system: _systems.System, x, y, checkpoints) -> list[float]:
@@ -229,7 +230,7 @@ def delta_n(system: _systems.System, x, y, n: int, delta: float) -> int:
     Equals n minus the maximum matching on pairs within delta.  Needs the
     dense cost matrix, so n is capped at THRESHOLD_CAP.
     """
-    if delta < 0:
+    if not delta >= 0:
         raise ValueError("delta must be non-negative")
     return _threshold_count(_threshold_costs(system, x, y, n), n, delta)
 
@@ -265,9 +266,9 @@ def etilde_estimate(system: _systems.System, x, y, schedule: Schedule,
     grid = [float(e) for e in eps_grid]
     if len(grid) == 0:
         raise ValueError("epsilon grid must be non-empty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
+    if not all(b > a for a, b in zip(grid, grid[1:])):
         raise ValueError("epsilon grid must be strictly increasing")
-    if grid[0] <= 0 or grid[-1] > system.diameter + 1e-12:
+    if not (grid[0] > 0 and grid[-1] <= system.diameter + 1e-12):
         raise ValueError("epsilon grid must lie in (0, diameter]")
 
     tail = schedule.tail_checkpoints
@@ -297,6 +298,8 @@ def sandwich_check(system: _systems.System, x, y, n: int,
     All three numbers are evaluated on the same cost matrix; the middle term
     is the raw assignment total, not a rounded-back average.
     """
+    if not delta >= 0:
+        raise ValueError("delta must be non-negative")
     if n > ASSIGNMENT_CAP:
         raise SizeLimitError(f"sandwich check needs assignment, capped at {ASSIGNMENT_CAP}")
     C = _systems.cost_matrix(*_ordered_segments(system, x, y, n)).entries

@@ -7,13 +7,16 @@ from orbitmetric import (
     BinaryShift,
     CircleRotation,
     DiagnosticReport,
+    DiscreteMeasure,
     Example31Config,
     ProductSystem,
     Schedule,
     ShiftPoint,
     birkhoff_profile,
+    build_example31_point,
     continuity_modulus,
     empirical_equicontinuity,
+    empirical_measure,
     en_equicontinuity_diagnostic,
     example31_report,
     hausdorff_measures,
@@ -21,6 +24,7 @@ from orbitmetric import (
     observable_values,
     omega_distance,
     omega_hat_estimate,
+    prokhorov,
     sample_close_pair,
     sample_point,
     unique_ergodicity_diagnostic,
@@ -29,6 +33,7 @@ from orbitmetric.analysis import (
     VERDICT_CONSISTENT,
     VERDICT_INCONCLUSIVE,
     VERDICT_VIOLATED,
+    _distance_to_fixed_segment,
 )
 from orbitmetric.systems import TentMap
 
@@ -284,6 +289,21 @@ def test_example31_seven_blocks_on_shift_tree():
     assert rep.observations[-1]["n"] == 5913
     assert all(row["bound_holds"] for row in rep.observations)
     assert rep.summary["ebar_tail"] > six.summary["ebar_tail"]
+
+
+def test_distance_to_fixed_segment_is_least_prokhorov_over_the_grid():
+    # all 101 grid weights share one sort of the windows; each must give
+    # exactly what a separate public prokhorov call gives
+    for blocks in range(4, 8):
+        config = Example31Config(n_blocks=blocks)
+        system = BinaryShift(config.shift_horizon)
+        ends = [(0,) * system.horizon, (1,) * system.horizon]
+        for label in ("U", "V"):
+            x = build_example31_point(label, config.block_rule, blocks)
+            meas = empirical_measure(system.orbit_segment(x, sum(config.lengths())))
+            want = min(prokhorov(meas, DiscreteMeasure(ends, [i / 100, 1.0 - i / 100]),
+                                 system) for i in range(101))
+            assert _distance_to_fixed_segment(meas, system, 0.01) == want, (blocks, label)
 
 
 def test_example31_config_rejects_grid_step_outside_unit_interval():

@@ -125,8 +125,9 @@ def test_threshold_matching_zero_diagonal():
 
 
 def test_threshold_matching_rejects_negative_delta():
-    with pytest.raises(ValueError):
-        max_matching_under_threshold(np.ones((2, 2)), -0.1)
+    for delta in (-0.1, float("nan")):
+        with pytest.raises(ValueError):
+            max_matching_under_threshold(np.ones((2, 2)), delta)
 
 
 def test_threshold_matching_vs_brute_force():

@@ -100,6 +100,19 @@ def test_schedule_validation():
     assert all(a < b for a, b in zip(s.checkpoints, s.checkpoints[1:]))
 
 
+def test_schedule_rejects_non_integer_checkpoints():
+    # a fractional checkpoint would report ebar at "n = 1.5"; a float or bool
+    # one would reach numpy's indexing
+    for cps in ((1.5, 3), (2, 3.0), (True, 3), (1, float("nan"))):
+        with pytest.raises(ValueError, match="integers"):
+            Schedule(cps)
+    with pytest.raises(ValueError, match="integers"):
+        Schedule((1, 2, 3), tail_start=1.5)
+    with pytest.raises(ValueError, match="integers"):
+        Schedule.geometric(10.5)
+    assert Schedule((np.int64(2), 3)).max_n == 3
+
+
 def test_schedule_geometric_needs_growing_ratio():
     # powers of a ratio <= 1 never pass max_n, so the checkpoint loop would
     # not end
@@ -422,6 +435,9 @@ def test_omega_hat_fixed_point_single_dirac():
     assert len(ms.members) == 1
     assert ms.members[0].support_size == 1
     assert ms.members[0].weights[0] == pytest.approx(1.0)
+    for tol in (-0.05, float("nan")):
+        with pytest.raises(ValueError):
+            omega_hat_estimate(BinaryShift(), ShiftPoint.zeros(), Schedule.geometric(200), tol)
 
 
 def test_omega_hat_period_two_orbit_clusters_to_one_measure():

@@ -94,7 +94,7 @@ def test_ebar_estimate_tracks_checkpoints():
 
 
 def test_ebar_checkpoints_match_independent_oracle(assignment_ebar):
-    # one sort / encoding at the largest checkpoint must give what a fresh
+    # one sort at the largest checkpoint must give what a fresh
     # computation on each prefix gives: exact assignment for small n, the
     # closed-form (1-d) or LP (shift) transport between prefix empiricals above
     rng = np.random.default_rng(94)
@@ -107,6 +107,12 @@ def test_ebar_checkpoints_match_independent_oracle(assignment_ebar):
         (LogisticMap(3.9), float(rng.random()), float(rng.random())),
         (BinaryShift(), ShiftPoint.from_string("", "011"), ShiftPoint.from_string("1", "01")),
         (BinaryShift(8), ShiftPoint.from_string("0", "0010"), ShiftPoint.from_string("", "1")),
+        # short horizons on periodic points: windows repeat, so the rows that
+        # each smaller checkpoint drops sit between equal windows
+        (BinaryShift(3), ShiftPoint.from_string("", "01"), ShiftPoint.from_string("1", "001")),
+        (BinaryShift(3), ShiftPoint.from_string("0", "0111"), ShiftPoint.from_string("", "011")),
+        (BinaryShift(5), ShiftPoint.from_string("", "00101"), ShiftPoint.from_string("11", "01")),
+        (BinaryShift(5), ShiftPoint.from_string("", "0110"), ShiftPoint.from_string("", "0110")),
     ]
     for system, x, y in cases:
         sched = Schedule.geometric(400 if system.geometry == "shift" else 3000)
@@ -269,8 +275,12 @@ def test_delta_nonincreasing_in_delta():
 
 
 def test_delta_rejects_negative_threshold():
-    with pytest.raises(ValueError):
-        delta_n(CircleRotation(0.3), 0.0, 0.5, 10, -0.2)
+    rot = CircleRotation(0.3)
+    for delta in (-0.2, float("nan")):
+        with pytest.raises(ValueError):
+            delta_n(rot, 0.0, 0.5, 10, delta)
+        with pytest.raises(ValueError):
+            sandwich_check(rot, 0.0, 0.5, 10, delta)
 
 
 def test_delta_dense_size_guard():
@@ -325,6 +335,9 @@ def test_etilde_grid_validation():
         etilde_estimate(rot, 0.0, 0.1, sched, [0.0, 0.1])
     with pytest.raises(ValueError):
         etilde_estimate(rot, 0.0, 0.1, sched, [0.1, 0.9])  # above circle diameter
+    for grid in ([float("nan")], [0.1, float("nan"), 0.3]):
+        with pytest.raises(ValueError):
+            etilde_estimate(rot, 0.0, 0.1, sched, grid)
 
 
 # ------------------------------------------------------------- sandwich
