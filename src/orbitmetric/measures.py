@@ -112,8 +112,7 @@ class Schedule:
         cps = self.checkpoints
         if len(cps) == 0:
             raise ValueError("schedule needs at least one checkpoint")
-        if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool)
-                   for c in (*cps, self.tail_start)):
+        if not all(map(_systems._is_count, (*cps, self.tail_start))):
             raise ValueError("checkpoints and tail_start must be integers")
         if cps[0] < 1 or any(b <= a for a, b in zip(cps, cps[1:])):
             raise ValueError("checkpoints must be strictly increasing and >= 1")
@@ -237,7 +236,8 @@ def _w1_circle(u: np.ndarray, uw: np.ndarray, v: np.ndarray, vw: np.ndarray) -> 
 
 def _sorted_w1(geometry: str, pts: np.ndarray, signed: np.ndarray) -> float:
     """W1 on the line or circle from the merged atoms of both measures in
-    ascending order, with mu's weights positive and nu's negative."""
+    ascending order, with mu's weights positive and nu's negative.  Integer
+    weights (counts) give an exact integer CDF and W1 times their scale."""
     if geometry == _systems.GEOMETRY_LINE:
         if not (0 <= pts[0] and pts[-1] <= 1):
             raise ValueError("line atoms must lie in [0, 1]")
@@ -267,6 +267,14 @@ def _cylinder_order(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
+    """Least value whose cumulative weight, in ascending order, reaches half.
+
+    Integer values (an unscaled CDF difference, within 2n of its minimum)
+    are binned by ``bincount`` in place of a sort."""
+    if values.dtype.kind == "i":
+        low = values.min()
+        cum = np.cumsum(np.bincount(values - low, weights=weights))
+        return float(low + np.searchsorted(cum, 0.5 * cum[-1]))
     order = np.argsort(values, kind="stable")
     cum = np.cumsum(weights[order])
     half = 0.5 * cum[-1]

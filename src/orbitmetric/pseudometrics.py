@@ -99,16 +99,24 @@ def _fast_values(system: _systems.System, seg_x: _systems.OrbitSegment,
     """ebar_n for each checkpoint n (increasing, the last one the segment
     length) from one sort of the full segments' states or shift windows.
 
-    A stable order restricted to a prefix is the prefix's own stable order,
-    so filtering the full sort reproduces each fresh sort exactly; two kept
-    windows first differ at the least split between them.
+    Each checkpoint keeps the rows of the first n states of either segment,
+    in the order of the full sort; two kept shift windows first differ at
+    the least split between them.  The signs are integers +1 (x) and -1 (y).
+
+    Line and circle: n * W1 from the CDF difference, which is an integer
+    count of signs, so its sums are exact and the order among tied points
+    cannot change them; no stable order is needed.  W1 is scaled by 1/n
+    once, at the end.
 
     Shift: n * W1 between the window empiricals by cylinder counting.  The
     window metric is an ultrametric, so the transport optimum has the closed
     tree form: every length-k cylinder contributes its occupancy imbalance
     times that level's edge length.  The matching identity makes this equal
     to the minimum assignment total.  All counts are integers and all
-    lengths are dyadic, so the accumulation below is exact.
+    lengths are dyadic, so the accumulation below is exact.  Cylinders
+    change only at the levels k = s + 1 of the splits s < K present, and the
+    edge lengths of levels k..K sum to 2**(K - k) units of 2**-K, so each
+    such level adds its growth in total imbalance times 2**(K - k).
     """
     N = seg_x.length
     shift = system.geometry == _systems.GEOMETRY_SHIFT
@@ -118,7 +126,7 @@ def _fast_values(system: _systems.System, seg_x: _systems.OrbitSegment,
             np.concatenate([system._view(seg_x), system._view(seg_y)]))
     else:
         pts = np.concatenate([seg_x.data, seg_y.data])
-        pos = np.argsort(pts, kind="stable")
+        pos = np.argsort(pts)
         pts = pts[pos]
     signs = np.where(pos < N, 1, -1)
     pos %= N
@@ -128,15 +136,16 @@ def _fast_values(system: _systems.System, seg_x: _systems.OrbitSegment,
         signs, pos = signs[keep], pos[keep]
         if not shift:
             pts = pts[keep]
-            values.append(_sorted_w1(system.geometry, pts, signs / n))
+            values.append(_sorted_w1(system.geometry, pts, signs) / n)
             continue
         rows = np.flatnonzero(keep)
         split = np.minimum.reduceat(split[:rows[-1]], rows[:-1])
-        units = 0  # in units of 2**-K
-        for k in range(1, K + 1):
+        units = imbalance = 0  # units in 2**-K
+        for k in (np.flatnonzero(np.bincount(split, minlength=K)[:K]) + 1).tolist():
             starts = np.concatenate([[0], np.flatnonzero(split < k) + 1])
-            counts = np.add.reduceat(signs, starts)
-            units += int(np.abs(counts).sum()) << (K - k if k == K else K - k - 1)
+            level = int(np.abs(np.add.reduceat(signs, starts)).sum())
+            units += (level - imbalance) << K - k
+            imbalance = level
         values.append(float(units) * 2.0 ** -K / n)
     return values[::-1]
 
@@ -209,11 +218,12 @@ def weyl_profile(system: _systems.System, x, y, horizon: int,
     m + l <= horizon; prefix windows are included, so each value dominates
     the Besicovitch average at the same length.
     """
-    lengths = tuple(int(l) for l in window_lengths)
+    lengths = tuple(window_lengths)
     if len(lengths) == 0:
         raise ValueError("need at least one window length")
-    if any(l < 1 for l in lengths):
-        raise ValueError("window lengths must be >= 1")
+    if not all(_systems._is_count(l) and l >= 1 for l in lengths):
+        raise ValueError("each window length must be an integer >= 1")
+    lengths = tuple(map(int, lengths))
     if max(lengths) > horizon:
         raise ValueError("window length exceeds horizon")
     seg_x = system.orbit_segment(x, horizon)

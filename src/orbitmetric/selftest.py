@@ -57,18 +57,22 @@ def _check_fast_w1(rng: np.random.Generator) -> str | None:
     return None
 
 
-def _check_shift_tree(rng: np.random.Generator) -> str | None:
-    # short horizons too, where windows of x and y often coincide
-    for horizon in rng.integers(1, 31, size=15).tolist():
-        sh = systems.BinaryShift(horizon)
-        x, y = analysis.sample_point(sh, rng), analysis.sample_point(sh, rng)
+def _check_closed_forms(rng: np.random.Generator) -> str | None:
+    # every checkpoint of one ebar_estimate against the assignment on that
+    # prefix of one cost matrix; short shift horizons too, where windows of
+    # x and y often coincide
+    cases = [(systems.BinaryShift(h), 0.0) for h in rng.integers(1, 31, 15).tolist()]
+    cases += [(systems.CircleRotation(float(rng.random())), 1e-12) for _ in range(4)]
+    cases += [(systems.LogisticMap(3.9), 1e-12), (systems.TentMap(), 1e-12)]
+    for system, tol in cases:
+        x, y = analysis.sample_point(system, rng), analysis.sample_point(system, rng)
         sched = measures.Schedule.geometric(int(rng.integers(1, 80)))
-        C = systems.cost_matrix(*(sh.orbit_segment(p, sched.max_n) for p in (x, y)))
-        # both routes are dyadic-exact, so any difference at all is a bug
-        for n, fast in pseudometrics.ebar_estimate(sh, x, y, sched).rows():
+        C = systems.cost_matrix(*(system.orbit_segment(p, sched.max_n) for p in (x, y)))
+        # the shift route is dyadic-exact (tol 0), so any difference is a bug
+        for n, fast in pseudometrics.ebar_estimate(system, x, y, sched).rows():
             slow = matching.min_cost_assignment(C.entries[:n, :n])[1] / n
-            if fast != slow:
-                return f"n={n}: tree {fast!r} vs assignment {slow!r}"
+            if abs(fast - slow) > tol:
+                return f"{system.kind} n={n}: closed form {fast!r} vs assignment {slow!r}"
     return None
 
 
@@ -175,7 +179,7 @@ _CHECKS = [
     ("assignment vs brute force", _check_assignment),
     ("matched average equals transport", _check_matching_identity),
     ("fast 1-D Wasserstein vs LP", _check_fast_w1),
-    ("shift cylinder tree vs assignment", _check_shift_tree),
+    ("closed-form ebar vs assignment", _check_closed_forms),
     ("prokhorov routes vs subset oracle", _check_prokhorov),
     ("sandwich inequalities", _check_sandwich),
     ("birkhoff decomposition", _check_birkhoff),

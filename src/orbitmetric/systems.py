@@ -192,6 +192,11 @@ def _outer(states, axis: int):
     return np.expand_dims(states, axis)
 
 
+def _is_count(value) -> bool:
+    """Whether ``value`` is an integer: Python or numpy, but not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 # ---------------------------------------------------------------------------
 # orbit segments
 
@@ -257,6 +262,8 @@ class System:
         raise NotImplementedError
 
     def orbit_segment(self, x, n: int) -> OrbitSegment:
+        if not _is_count(n):
+            raise ValueError(f"orbit length must be an integer, got {n!r}")
         if n < 1:
             raise ValueError("orbit length must be at least 1")
         return self._segment(x, n)

@@ -151,6 +151,25 @@ def test_w1_fast_circle_wraps():
     assert wasserstein1_fast_1d(mu, nu, GEOMETRY_LINE) == pytest.approx(0.8, abs=W1_TOL)
 
 
+def test_weighted_median_at_exact_half():
+    # mu puts 1/2 on 0 and on 1/2, nu 1/2 on 1/4 and on 3/4: the CDF
+    # difference alternates, so its cumulative length hits one half exactly
+    # and either level minimizes; both branches give the same W1 objective
+    pts = np.array([0.0, 0.25, 0.5, 0.75])
+    counts = np.array([1, -1, 1, -1])
+    lengths = np.full(4, 0.25)
+
+    def objective(g, median):
+        return float(np.abs(g - median) @ lengths)
+
+    g = np.cumsum(counts)
+    assert (objective(g, measures._weighted_median(g, lengths))
+            == objective(g / 2, measures._weighted_median(g / 2, lengths)) * 2
+            == 0.5)
+    assert (measures._sorted_w1(GEOMETRY_CIRCLE, pts, counts) / 2
+            == measures._sorted_w1(GEOMETRY_CIRCLE, pts, counts / 2) == 0.25)
+
+
 def test_w1_fast_rejects_unknown_geometry():
     m = DiscreteMeasure.dirac(0.5)
     with pytest.raises(ValueError):

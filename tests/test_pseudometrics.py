@@ -77,6 +77,13 @@ def test_ebar_shift_tree_matches_assignment(assignment_ebar):
     # same orbit one step apart: the matching bound m*diam/n is attained
     assert ebar_n(sh, x, y, 200) == 1.0 / 200
     assert assignment_ebar(sh, x, y, 200) == 1.0 / 200
+    # periodic points: few distinct windows, so most levels of the cylinder
+    # tree repeat the cylinders of the level above
+    x = ShiftPoint.from_string("1", "0010111")
+    y = ShiftPoint.from_string("", "01101")
+    sched = Schedule.geometric(300)
+    for n, value in zip(sched.checkpoints, ebar_estimate(sh, x, y, sched).values):
+        assert value == assignment_ebar(sh, x, y, n)
 
 
 def test_ebar_estimate_tracks_checkpoints():
@@ -127,6 +134,47 @@ def test_ebar_checkpoints_match_independent_oracle(assignment_ebar):
                         else wasserstein1_fast_1d(mu, nu, system.geometry))
             assert abs(value - want) <= 1e-12, (system, x, y, n)
             assert ebar_n(system, x, y, n) == value
+
+
+def _exact_ebar_1d(system, x, y, n) -> Fraction:
+    """ebar_n on the line or circle in exact rational arithmetic: W1 between
+    the two n-point empiricals of the float orbit states, each state read as
+    the dyadic rational it is, over their common denominator."""
+    states = [Fraction(float(s)) for seg in (system.orbit_segment(x, n),
+                                              system.orbit_segment(y, n))
+              for s in seg.data]
+    den = max(s.denominator for s in states)
+    pts = sorted((int(s * den), 1 if i < n else -1) for i, s in enumerate(states))
+    gaps = [b[0] - a[0] for a, b in zip(pts, pts[1:])]
+    cdf = list(itertools.accumulate(sign for _, sign in pts))
+    if system.geometry == "line":
+        total = sum(abs(c) * gap for c, gap in zip(cdf, gaps))
+    else:
+        gaps.append(den - pts[-1][0] + pts[0][0])  # the wrap arc
+        total = min(sum(abs(c - shift) * gap for c, gap in zip(cdf, gaps))
+                    for shift in {c for c, gap in zip(cdf, gaps) if gap})
+    return Fraction(total, den * n)
+
+
+@pytest.mark.parametrize("system, x, y", [
+    (LogisticMap(3.9), 0.123, 0.456),
+    (LogisticMap(4.0), 0.3, 0.7),
+    # float orbits of these maps reach 0 and stay there: heavy ties
+    (DoublingMap(), 0.3, 0.7),
+    (TentMap(), 0.1, 0.65),
+    (CircleRotation(GOLDEN), 0.05, 0.55),
+    # alpha = 1/2 repeats two states on each orbit
+    (CircleRotation(0.5), 0.1, 0.35),
+    (CircleRotation(0.5), 0.2, 0.7),
+])
+def test_ebar_1d_matches_exact_rational_oracle(system, x, y):
+    # the CDF difference is summed in integers and scaled once, so every
+    # checkpoint is within a few ulps of the exact value, ties included
+    sched = Schedule.geometric(1500)
+    est = ebar_estimate(system, x, y, sched)
+    for n, value in zip(sched.checkpoints, est.values):
+        exact = _exact_ebar_1d(system, x, y, n)
+        assert abs(Fraction(value) - exact) <= 4 * 2.0 ** -52 * exact, (n, value)
 
 
 def test_ebar_shifted_start_fades_linearly():
@@ -233,6 +281,23 @@ def test_weyl_window_validation():
         weyl_profile(rot, 0.0, 0.5, 100, ())
     with pytest.raises(ValueError):
         weyl_profile(rot, 0.0, 0.5, 100, (0,))
+
+
+@pytest.mark.parametrize("call", [
+    lambda rot, n: ebar_n(rot, 0.1, 0.2, n),
+    lambda rot, n: besicovitch_n(rot, 0.1, 0.2, n),
+    lambda rot, n: delta_n(rot, 0.1, 0.2, n, 0.1),
+    lambda rot, n: sandwich_check(rot, 0.1, 0.2, n, 0.1),
+    lambda rot, n: weyl_profile(rot, 0.1, 0.2, n, (1,)),
+    lambda rot, n: weyl_profile(rot, 0.1, 0.2, 10, (n,)),
+], ids=["ebar_n", "besicovitch_n", "delta_n", "sandwich_check",
+        "weyl_horizon", "weyl_window"])
+def test_orbit_lengths_must_be_integers(call):
+    rot = CircleRotation(0.3)
+    for n in (2.5, 2.7, 3.0, True):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call(rot, n)
+    call(rot, np.int64(3))
 
 
 # -------------------------------------------------------------- delta_n

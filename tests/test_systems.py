@@ -144,6 +144,15 @@ def test_orbit_rejects_nonpositive_length():
         DoublingMap().orbit_segment(0.5, 0)
 
 
+def test_orbit_length_must_be_an_integer():
+    for system, x in ((DoublingMap(), 0.5), (BinaryShift(4), ShiftPoint.ones()),
+                      (product_system(CircleRotation(0.3), TentMap()), (0.1, 0.2))):
+        for n in (2.5, 3.0, np.float64(3), True):
+            with pytest.raises(ValueError, match="orbit length must be an integer"):
+                system.orbit_segment(x, n)
+        assert system.orbit_segment(x, np.int64(3)).length == 3
+
+
 def test_cost_matrix_zero_diagonal_on_equal_points():
     circle = CircleRotation(alpha=GOLDEN)
     seg = circle.orbit_segment(0.25, 6)
