@@ -268,7 +268,7 @@ def empirical_equicontinuity(system: _systems.System, delta: float,
                              pair_samples: int, n_list, seed: int = 0,
                              threshold: float = DEFAULT_THRESHOLD) -> DiagnosticReport:
     """Worst Prokhorov distance between empirical measures of close pairs."""
-    n_list = [int(n) for n in n_list]
+    n_list = _systems._counts(n_list, "n in n_list")
     params = _parameters(system, delta=delta, pair_samples=pair_samples,
                          n_list=n_list, seed=seed, threshold=threshold)
     if delta <= 0 or not n_list:
@@ -494,7 +494,7 @@ def en_equicontinuity_diagnostic(system: _systems.System, delta: float,
                                  pair_samples: int, n_list, seed: int = 0,
                                  threshold: float = DEFAULT_THRESHOLD) -> DiagnosticReport:
     """Uniform-in-n modulus: worst ebar_n over close pairs and every listed n."""
-    n_list = [int(n) for n in n_list]
+    n_list = _systems._counts(n_list, "n in n_list")
     params = _parameters(system, delta=delta, pair_samples=pair_samples,
                          n_list=n_list, seed=seed, threshold=threshold)
     if delta <= 0 or not n_list:

@@ -24,7 +24,8 @@ from .measures import _w1_circle, _w1_line  # noqa: F401
 # for the compiled solver; products, which have no closed form, stop here
 ASSIGNMENT_CAP = 2000
 
-# dense cost matrices for threshold matching stay manageable up to here
+# dense cost matrices for threshold matching (circle and products) stay
+# manageable up to here
 THRESHOLD_CAP = 4096
 
 _FAST_GEOMETRIES = (_systems.GEOMETRY_CIRCLE, _systems.GEOMETRY_LINE,
@@ -94,19 +95,47 @@ def _ordered_segments(system: _systems.System, x, y, n: int):
     return seg_x, seg_y
 
 
-def _fast_values(system: _systems.System, seg_x: _systems.OrbitSegment,
-                 seg_y: _systems.OrbitSegment, checkpoints) -> list[float]:
-    """ebar_n for each checkpoint n (increasing, the last one the segment
-    length) from one sort of the full segments' states or shift windows.
+def _prefix_sorts(system: _systems.System, seg_x: _systems.OrbitSegment,
+                  seg_y: _systems.OrbitSegment, checkpoints):
+    """Yield ``(n, signs, key)`` for each checkpoint n, from one sort of the
+    full segments' states or shift windows.  The checkpoints increase up to
+    the segment length; they are yielded last first.
 
     Each checkpoint keeps the rows of the first n states of either segment,
-    in the order of the full sort; two kept shift windows first differ at
-    the least split between them.  The signs are integers +1 (x) and -1 (y).
+    in the order of the full sort.  The signs are integers +1 (x) and -1
+    (y).  On the line and circle ``key`` holds the sorted states; on the
+    shift it holds the splits, and two kept windows first differ at the
+    least split between them.
+    """
+    N = seg_x.length
+    shift = system.geometry == _systems.GEOMETRY_SHIFT
+    if shift:
+        pos, key = _cylinder_order(
+            np.concatenate([system._view(seg_x), system._view(seg_y)]))
+    else:
+        key = np.concatenate([seg_x.data, seg_y.data])
+        pos = np.argsort(key)
+        key = key[pos]
+    signs = np.where(pos < N, 1, -1)
+    pos %= N
+    for n in reversed(checkpoints):
+        keep = pos < n
+        signs, pos = signs[keep], pos[keep]
+        if shift:
+            rows = np.flatnonzero(keep)
+            key = np.minimum.reduceat(key[:rows[-1]], rows[:-1])
+        else:
+            key = key[keep]
+        yield n, signs, key
+
+
+def _fast_totals(system: _systems.System, seg_x: _systems.OrbitSegment,
+                 seg_y: _systems.OrbitSegment, checkpoints) -> list[float]:
+    """n * ebar_n for each checkpoint n (increasing), from _prefix_sorts.
 
     Line and circle: n * W1 from the CDF difference, which is an integer
     count of signs, so its sums are exact and the order among tied points
-    cannot change them; no stable order is needed.  W1 is scaled by 1/n
-    once, at the end.
+    cannot change them; no stable order is needed.
 
     Shift: n * W1 between the window empiricals by cylinder counting.  The
     window metric is an ultrametric, so the transport optimum has the closed
@@ -118,42 +147,26 @@ def _fast_values(system: _systems.System, seg_x: _systems.OrbitSegment,
     edge lengths of levels k..K sum to 2**(K - k) units of 2**-K, so each
     such level adds its growth in total imbalance times 2**(K - k).
     """
-    N = seg_x.length
-    shift = system.geometry == _systems.GEOMETRY_SHIFT
-    if shift:
-        K = system.horizon
-        pos, split = _cylinder_order(
-            np.concatenate([system._view(seg_x), system._view(seg_y)]))
-    else:
-        pts = np.concatenate([seg_x.data, seg_y.data])
-        pos = np.argsort(pts)
-        pts = pts[pos]
-    signs = np.where(pos < N, 1, -1)
-    pos %= N
-    values = []
-    for n in reversed(checkpoints):
-        keep = pos < n
-        signs, pos = signs[keep], pos[keep]
-        if not shift:
-            pts = pts[keep]
-            values.append(_sorted_w1(system.geometry, pts, signs) / n)
+    totals = []
+    for n, signs, key in _prefix_sorts(system, seg_x, seg_y, checkpoints):
+        if system.geometry != _systems.GEOMETRY_SHIFT:
+            totals.append(_sorted_w1(system.geometry, key, signs))
             continue
-        rows = np.flatnonzero(keep)
-        split = np.minimum.reduceat(split[:rows[-1]], rows[:-1])
+        K = system.horizon
         units = imbalance = 0  # units in 2**-K
-        for k in (np.flatnonzero(np.bincount(split, minlength=K)[:K]) + 1).tolist():
-            starts = np.concatenate([[0], np.flatnonzero(split < k) + 1])
+        for k in (np.flatnonzero(np.bincount(key, minlength=K)[:K]) + 1).tolist():
+            starts = np.concatenate([[0], np.flatnonzero(key < k) + 1])
             level = int(np.abs(np.add.reduceat(signs, starts)).sum())
             units += (level - imbalance) << K - k
             imbalance = level
-        values.append(float(units) * 2.0 ** -K / n)
-    return values[::-1]
+        totals.append(float(units) * 2.0 ** -K)
+    return totals[::-1]
 
 
 def _ebar_values(system: _systems.System, x, y, checkpoints) -> list[float]:
     """ebar_n at each checkpoint (increasing), on the route the geometry fixes.
 
-    Line, circle and shift use the closed forms of _fast_values, which have
+    Line, circle and shift use the closed forms of _fast_totals, which have
     no size limit; products solve the assignment exactly on prefixes of one
     cost matrix, capped at ASSIGNMENT_CAP.
     """
@@ -165,7 +178,8 @@ def _ebar_values(system: _systems.System, x, y, checkpoints) -> list[float]:
             f"n={ASSIGNMENT_CAP}")
     seg_x, seg_y = _ordered_segments(system, x, y, n_max)
     if fast:
-        return _fast_values(system, seg_x, seg_y, checkpoints)
+        totals = _fast_totals(system, seg_x, seg_y, checkpoints)
+        return [t / n for t, n in zip(totals, checkpoints)]
     C = _systems.cost_matrix(seg_x, seg_y).entries
     return [matching.min_cost_assignment(C[:n, :n])[1] / n for n in checkpoints]
 
@@ -218,12 +232,9 @@ def weyl_profile(system: _systems.System, x, y, horizon: int,
     m + l <= horizon; prefix windows are included, so each value dominates
     the Besicovitch average at the same length.
     """
-    lengths = tuple(window_lengths)
+    lengths = tuple(_systems._counts(window_lengths, "window length"))
     if len(lengths) == 0:
         raise ValueError("need at least one window length")
-    if not all(_systems._is_count(l) and l >= 1 for l in lengths):
-        raise ValueError("each window length must be an integer >= 1")
-    lengths = tuple(map(int, lengths))
     if max(lengths) > horizon:
         raise ValueError("window length exceeds horizon")
     seg_x = system.orbit_segment(x, horizon)
@@ -234,35 +245,87 @@ def weyl_profile(system: _systems.System, x, y, horizon: int,
     return WeylProfile(horizon, lengths, sup)
 
 
+def _line_excess(signs: np.ndarray, pts: np.ndarray, delta: float) -> int:
+    """Delta_n on the line from the merged states in ascending order.
+
+    The ys within delta of an x form an interval of the sorted ys, and both
+    its ends rise with x (rounded subtraction is monotone), so matching each
+    x in turn to the least free y within delta is a maximum matching
+    (Glover 1967).  Admissibility is the kernel's own abs(x - y) <= delta.
+    """
+    xs, ys = pts[signs > 0].tolist(), pts[signs < 0].tolist()
+    j = matched = 0
+    for x in xs:
+        while j < len(ys) and x - ys[j] > delta:
+            j += 1
+        if j < len(ys) and abs(x - ys[j]) <= delta:
+            matched += 1
+            j += 1
+    return len(xs) - matched
+
+
+def _cylinder_excess(K: int, signs: np.ndarray, split: np.ndarray,
+                     delta: float) -> int:
+    """Delta_n on the shift: windows lie within delta iff they share their
+    length-k cylinder, k the least level with 2**-k <= delta (K if none), so
+    Delta_n sums the surplus of x over y in each such cylinder."""
+    k = 0
+    while k < K and 2.0 ** -k > delta:
+        k += 1
+    starts = np.concatenate([[0], np.flatnonzero(split < k) + 1])
+    return int(np.maximum(np.add.reduceat(signs, starts), 0).sum())
+
+
+def _threshold_counter(system: _systems.System, seg_x: _systems.OrbitSegment,
+                       seg_y: _systems.OrbitSegment, checkpoints, C=None):
+    """``count(n, delta)``: Delta_n of the length-n prefixes of the two
+    segments, for each checkpoint n (increasing, the last one the segment
+    length).
+
+    Every geometry first tries the aligned pairs: when the first n aligned
+    distances all lie within delta, Delta_n is 0.  Otherwise the line and the
+    shift count it from _prefix_sorts, with no size limit.  The circle and
+    products take the maximum threshold matching on the leading n x n block
+    of the cost matrix ``C``, built on first use and capped at
+    THRESHOLD_CAP.  Orbit segments of length n are prefixes of longer ones,
+    so that block is the cost matrix of the length-n segments, up to a
+    transpose that leaves the matching size unchanged.
+    """
+    geometry = system.geometry
+    sorted_route = geometry in (_systems.GEOMETRY_LINE, _systems.GEOMETRY_SHIFT)
+    if not sorted_route and seg_x.length > THRESHOLD_CAP:
+        raise SizeLimitError(
+            f"{geometry} threshold matching is capped at n={THRESHOLD_CAP}")
+    reach = np.maximum.accumulate(_systems.aligned_distances(system, seg_x, seg_y))
+    sorts = ({n: (signs, key) for n, signs, key in
+              _prefix_sorts(system, seg_x, seg_y, checkpoints)} if sorted_route else {})
+
+    def count(n: int, delta: float) -> int:
+        nonlocal C
+        if reach[n - 1] <= delta:
+            return 0
+        if geometry == _systems.GEOMETRY_LINE:
+            return _line_excess(*sorts[n], delta)
+        if geometry == _systems.GEOMETRY_SHIFT:
+            return _cylinder_excess(system.horizon, *sorts[n], delta)
+        if C is None:
+            C = _systems.cost_matrix(seg_x, seg_y).entries
+        block = C[:n, :n]
+        return len(block) - matching.max_matching_under_threshold(block, delta)
+    return count
+
+
 def delta_n(system: _systems.System, x, y, n: int, delta: float) -> int:
     """Minimum number of matched pairs forced above distance delta.
 
-    Equals n minus the maximum matching on pairs within delta.  Needs the
-    dense cost matrix, so n is capped at THRESHOLD_CAP.
+    Equals n minus the maximum matching on pairs within delta.  The line and
+    the shift count it from one sort of the two segments, with no size
+    limit.  The circle and products match on the cost matrix, unless the
+    aligned pairs all lie within delta, and are capped at THRESHOLD_CAP.
     """
     if not delta >= 0:
         raise ValueError("delta must be non-negative")
-    return _threshold_count(_threshold_costs(system, x, y, n), n, delta)
-
-
-def _threshold_costs(system: _systems.System, x, y, n: int) -> np.ndarray:
-    """The cost matrix of the length-n segments, capped at THRESHOLD_CAP."""
-    if n > THRESHOLD_CAP:
-        raise SizeLimitError(f"threshold matching is capped at n={THRESHOLD_CAP}")
-    return _systems.cost_matrix(*_ordered_segments(system, x, y, n)).entries
-
-
-def _threshold_count(C: np.ndarray, n: int, delta: float) -> int:
-    """Delta_n from the leading n x n block of a cost matrix.
-
-    Orbit segments of length n are prefixes of longer ones, so that block is
-    the cost matrix of the length-n segments, up to a transpose that leaves
-    the matching size unchanged.
-    """
-    block = C[:n, :n]
-    if (np.diagonal(block) <= delta).all():
-        return 0
-    return n - matching.max_matching_under_threshold(block, delta)
+    return _threshold_counter(system, *_ordered_segments(system, x, y, n), (n,))(n, delta)
 
 
 def etilde_estimate(system: _systems.System, x, y, schedule: Schedule,
@@ -271,7 +334,8 @@ def etilde_estimate(system: _systems.System, x, y, schedule: Schedule,
 
     The fraction delta_n/n is nonincreasing in epsilon while the right side
     grows, so the qualifying grid points form a suffix and a binary search
-    over the grid suffices.
+    over the grid suffices.  Every tail checkpoint is a prefix of the
+    longest tail segments, which are generated and sorted once.
     """
     grid = [float(e) for e in eps_grid]
     if len(grid) == 0:
@@ -282,11 +346,11 @@ def etilde_estimate(system: _systems.System, x, y, schedule: Schedule,
         raise ValueError("epsilon grid must lie in (0, diameter]")
 
     tail = schedule.tail_checkpoints
-    C = _threshold_costs(system, x, y, tail[-1])
+    count = _threshold_counter(
+        system, *_ordered_segments(system, x, y, tail[-1]), tail)
 
     def qualifies(eps: float) -> bool:
-        worst = max(_threshold_count(C, n, eps) / n for n in tail)
-        return worst < eps
+        return all(count(n, eps) / n < eps for n in tail)
 
     precision = max(np.diff(grid)) if len(grid) > 1 else grid[0]
     if not qualifies(grid[-1]):
@@ -305,16 +369,22 @@ def sandwich_check(system: _systems.System, x, y, n: int,
                    delta: float) -> SandwichReport:
     """delta*Delta_n <= n*ebar_n <= Delta_n*diam + delta*(n - Delta_n).
 
-    All three numbers are evaluated on the same cost matrix; the middle term
-    is the raw assignment total, not a rounded-back average.
+    The middle term is the raw total n*ebar_n, not a rounded-back average:
+    the closed form of _fast_totals on the line, circle and shift, the
+    assignment total on the cost matrix for products, capped at
+    ASSIGNMENT_CAP.  Delta_n takes delta_n's route; products read it from
+    the same cost matrix.
     """
     if not delta >= 0:
         raise ValueError("delta must be non-negative")
-    if n > ASSIGNMENT_CAP:
+    fast = system.geometry in _FAST_GEOMETRIES
+    if not fast and n > ASSIGNMENT_CAP:
         raise SizeLimitError(f"sandwich check needs assignment, capped at {ASSIGNMENT_CAP}")
-    C = _systems.cost_matrix(*_ordered_segments(system, x, y, n)).entries
-    _, mid = matching.min_cost_assignment(C)
-    dn = _threshold_count(C, n, delta)
+    seg_x, seg_y = _ordered_segments(system, x, y, n)
+    C = None if fast else _systems.cost_matrix(seg_x, seg_y).entries
+    dn = _threshold_counter(system, seg_x, seg_y, (n,), C)(n, delta)
+    mid = (_fast_totals(system, seg_x, seg_y, (n,))[0] if fast
+           else matching.min_cost_assignment(C)[1])
     lhs = delta * dn
     rhs = dn * system.diameter + delta * (n - dn)
     slack = 1e-12 * max(1.0, n)

@@ -110,6 +110,14 @@ def _check_sandwich(rng: np.random.Generator) -> str | None:
             rep = pseudometrics.sandwich_check(system, x, y, 30, delta)
             if not rep.holds:
                 return f"{system.kind} delta={delta}: {rep.lhs} / {rep.mid} / {rep.rhs}"
+            if system.geometry not in (systems.GEOMETRY_LINE, systems.GEOMETRY_SHIFT):
+                continue
+            # the sorted threshold counts against matching on the cost matrix
+            C = systems.cost_matrix(system.orbit_segment(x, 30), system.orbit_segment(y, 30))
+            want = 30 - matching.max_matching_under_threshold(C, delta)
+            got = pseudometrics.delta_n(system, x, y, 30, delta)
+            if got != want:
+                return f"{system.kind} delta={delta}: Delta_n {got} vs matching {want}"
     return None
 
 

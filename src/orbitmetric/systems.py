@@ -197,6 +197,15 @@ def _is_count(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _counts(values, what: str) -> list[int]:
+    """``values`` as Python ints; ``ValueError`` unless each is an integer
+    (the ``_is_count`` rule) of at least 1."""
+    values = list(values)
+    if not all(_is_count(v) and v >= 1 for v in values):
+        raise ValueError(f"each {what} must be an integer >= 1, got {values!r}")
+    return [int(v) for v in values]
+
+
 # ---------------------------------------------------------------------------
 # orbit segments
 
@@ -652,11 +661,9 @@ def build_example31_point(variant: str, block_rule, n_blocks: int) -> ShiftPoint
 def block_lengths(block_rule, n_blocks: int) -> list[int]:
     if block_rule == "factorial":
         return [math.factorial(i) for i in range(1, n_blocks + 1)]
-    lengths = [int(a) for a in block_rule][:n_blocks]
+    lengths = _counts(block_rule, "block length")[:n_blocks]
     if len(lengths) < n_blocks:
         raise ValueError(f"block rule supplies {len(lengths)} lengths, {n_blocks} needed")
-    if any(a < 1 for a in lengths):
-        raise ValueError("block lengths must be positive")
     return lengths
 
 

@@ -82,6 +82,18 @@ def test_close_pair_diagnostic_without_pairs_is_inconclusive(run):
     assert rep.observations == [] and rep.witnesses == [] and rep.summary == {}
 
 
+@pytest.mark.parametrize("run", [empirical_equicontinuity, en_equicontinuity_diagnostic],
+                         ids=["empirical", "en"])
+def test_n_list_entries_must_be_integers(run):
+    rot = CircleRotation(0.3)
+    for n_list in ((2.7, 10.9), (5, 10.0), (True, 5), (0, 5)):
+        with pytest.raises(ValueError, match="n in n_list must be an integer"):
+            run(rot, 0.05, 2, n_list)
+    rep = run(rot, 0.05, 2, (np.int64(5), 10))
+    assert rep.parameters["n_list"] == [5, 10]
+    assert json.loads(rep.to_json())["parameters"]["n_list"] == [5, 10]
+
+
 # --------------------------------------------- empirical equicontinuity
 
 def test_empirical_equicontinuity_rotation():
@@ -279,6 +291,17 @@ def test_example31_custom_block_rule():
     assert bounds[1] == pytest.approx(1 / 3)
     assert bounds[2] == pytest.approx(1 / 3)
     assert all(row["bound_holds"] for row in rep.observations)
+
+
+def test_example31_block_rule_must_be_integers():
+    config = Example31Config(block_rule=(2.7, 3.9), n_blocks=2)
+    with pytest.raises(ValueError, match="block length must be an integer"):
+        config.lengths()
+    with pytest.raises(ValueError, match="block length must be an integer"):
+        example31_report(config)
+    rep = example31_report(Example31Config(block_rule=tuple(np.array([1, 2, 6])),
+                                               n_blocks=3))
+    assert [row["n"] for row in rep.observations] == [1, 3, 9]
 
 
 def test_example31_seven_blocks_on_shift_tree():

@@ -20,13 +20,15 @@ from orbitmetric import (
     ebar_n,
     empirical_measure,
     etilde_estimate,
+    max_matching_under_threshold,
+    min_cost_assignment,
     sample_point,
     sandwich_check,
     wasserstein1,
     wasserstein1_fast_1d,
     weyl_profile,
 )
-from orbitmetric.systems import TentMap, cost_matrix
+from orbitmetric.systems import TentMap, aligned_distances, cost_matrix
 
 GOLDEN = 0.6180339887498949
 
@@ -322,13 +324,59 @@ def _delta_brute(C: np.ndarray, delta: float) -> int:
 
 
 def test_delta_matches_min_exceedance_over_permutations():
+    # the line greedy on generic (logistic) and tie-heavy (doubling, tent)
+    # orbits, the shift's cylinder count and the circle's matching
     rng = np.random.default_rng(36)
-    dbl = DoublingMap()
-    for _ in range(15):
-        x, y = sample_point(dbl, rng), sample_point(dbl, rng)
-        delta = float(rng.uniform(0.05, 0.6))
-        C = cost_matrix(dbl.orbit_segment(x, 6), dbl.orbit_segment(y, 6))
-        assert delta_n(dbl, x, y, 6, delta) == _delta_brute(C.entries, delta)
+    for system in (DoublingMap(), LogisticMap(4.0), TentMap(), BinaryShift(4),
+                   BinaryShift(), CircleRotation(GOLDEN)):
+        for _ in range(15):
+            x, y = sample_point(system, rng), sample_point(system, rng)
+            n = int(rng.integers(1, 8))
+            C = cost_matrix(system.orbit_segment(x, n), system.orbit_segment(y, n))
+            for delta in (0.0, 0.25, 0.5, float(rng.uniform(0.05, 0.6))):
+                assert delta_n(system, x, y, n, delta) == _delta_brute(C.entries, delta)
+
+
+def _delta_matching(system, x, y, n, delta):
+    """Delta_n's matrix oracle: n minus the maximum threshold matching."""
+    C = cost_matrix(system.orbit_segment(x, n), system.orbit_segment(y, n))
+    return n - max_matching_under_threshold(C, delta)
+
+
+def test_delta_line_greedy_matches_threshold_matching():
+    # float tent and doubling orbits collapse onto 0, so their states tie;
+    # thresholds equal to pairwise distances sit on the rounding boundary
+    rng = np.random.default_rng(41)
+    for system in (LogisticMap(4.0), TentMap(), DoublingMap()):
+        for _ in range(12):
+            x = sample_point(system, rng)
+            y = min(1.0, x + 0.05 * float(rng.random())) if rng.random() < 0.5 \
+                else sample_point(system, rng)
+            n = int(rng.integers(1, 301))
+            C = cost_matrix(system.orbit_segment(x, n), system.orbit_segment(y, n)).entries
+            edges = C[rng.integers(0, n, 4), rng.integers(0, n, 4)]
+            on_edges = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, 1)])
+            for delta in (0.0, 0.25, 0.5, float(rng.random()),
+                          2.0 ** -int(rng.integers(1, 12)), *on_edges.tolist()):
+                got = delta_n(system, x, y, n, delta)
+                assert type(got) is int
+                assert got == n - max_matching_under_threshold(C, delta), (x, y, n, delta)
+
+
+def test_delta_shift_cylinders_match_threshold_matching():
+    rng = np.random.default_rng(42)
+    for K in (3, 4, 7, 12, 30):
+        sh = BinaryShift(K)
+        pairs = [(sample_point(sh, rng), sample_point(sh, rng)) for _ in range(6)]
+        pairs.append((ShiftPoint.from_string("", "011"), ShiftPoint.from_string("", "110")))
+        for x, y in pairs:
+            n = int(rng.integers(1, 200))
+            # on and off the dyadic grid, 0, and at or above the diameter
+            for delta in (0.0, 2.0 ** -K, 2.0 ** -int(rng.integers(1, K + 1)),
+                          float(rng.random()), 0.3, 1.0, 1.5):
+                got = delta_n(sh, x, y, n, delta)
+                assert type(got) is int
+                assert got == _delta_matching(sh, x, y, n, delta), (K, n, delta)
 
 
 def test_delta_nonincreasing_in_delta():
@@ -349,9 +397,30 @@ def test_delta_rejects_negative_threshold():
 
 
 def test_delta_dense_size_guard():
-    sh = BinaryShift()
+    # the circle and products still match on a dense cost matrix
+    rot = CircleRotation(GOLDEN)
+    prod = ProductSystem(rot, DoublingMap())
     with pytest.raises(SizeLimitError):
-        delta_n(sh, ShiftPoint.zeros(), ShiftPoint.ones(), 4097, 0.5)
+        delta_n(rot, 0.1, 0.6, 4097, 0.05)
+    with pytest.raises(SizeLimitError):
+        etilde_estimate(rot, 0.1, 0.6, Schedule((4097,), 0), [0.1])
+    with pytest.raises(SizeLimitError):
+        delta_n(prod, (0.1, 0.2), (0.6, 0.7), 4097, 0.05)
+
+
+def test_delta_line_and_shift_have_no_size_limit():
+    # past the matrix cap; the identity matching bounds Delta_n from above
+    n = 5000
+    for system, x, y, delta in (
+            (LogisticMap(4.0), 0.2, 0.3, 0.1),
+            (BinaryShift(), ShiftPoint.zeros(), ShiftPoint.ones(), 0.5),
+            (BinaryShift(), ShiftPoint.from_string("", "0110101"),
+             ShiftPoint.from_string("", "1101"), 2.0 ** -3)):
+        got = delta_n(system, x, y, n, delta)
+        seg_x, seg_y = system.orbit_segment(x, n), system.orbit_segment(y, n)
+        aligned = int((aligned_distances(system, seg_x, seg_y) > delta).sum())
+        assert type(got) is int and 0 <= got <= aligned
+    assert delta_n(BinaryShift(), ShiftPoint.zeros(), ShiftPoint.ones(), n, 0.5) == n
 
 
 # --------------------------------------------------------------- etilde
@@ -389,6 +458,23 @@ def test_etilde_rotation_close_pair_lands_near_gap():
     assert est.precision == pytest.approx(0.01)
 
 
+def test_etilde_line_and_shift_match_matrix_route():
+    # every tail checkpoint re-evaluated on its own cost matrix, grid scanned
+    # from the bottom
+    rng = np.random.default_rng(43)
+    grid = [k / 20 for k in range(1, 21)]
+    for system in (LogisticMap(4.0), TentMap(), DoublingMap(), BinaryShift(5), BinaryShift()):
+        for _ in range(4):
+            x, y = sample_point(system, rng), sample_point(system, rng)
+            sched = Schedule.geometric(int(rng.integers(2, 150)))
+            est = etilde_estimate(system, x, y, sched, grid)
+            want = next((e for e in grid if max(
+                _delta_matching(system, x, y, n, e) / n
+                for n in sched.tail_checkpoints) < e), None)
+            assert (est.value, est.qualified) == (
+                (want, True) if want is not None else (grid[-1], False))
+
+
 def test_etilde_grid_validation():
     rot = CircleRotation(0.3)
     sched = Schedule((10,), 0)
@@ -422,6 +508,20 @@ def test_sandwich_fixed_points_tight():
     assert rep.lhs == pytest.approx(5.0)
     assert rep.mid == pytest.approx(10.0)
     assert rep.rhs == pytest.approx(10.0)
+
+
+def test_sandwich_mid_is_the_assignment_total():
+    rng = np.random.default_rng(44)
+    for system in (LogisticMap(4.0), TentMap(), CircleRotation(GOLDEN), BinaryShift(6),
+                   BinaryShift()):
+        for _ in range(8):
+            x, y = sample_point(system, rng), sample_point(system, rng)
+            n = int(rng.integers(1, 250))
+            delta = float(rng.uniform(0.0, 0.6))
+            rep = sandwich_check(system, x, y, n, delta)
+            C = cost_matrix(system.orbit_segment(x, n), system.orbit_segment(y, n))
+            assert abs(rep.mid - min_cost_assignment(C)[1]) <= 1e-12 * n
+            assert rep.lhs == delta * _delta_matching(system, x, y, n, delta)
 
 
 def test_sandwich_holds_everywhere():

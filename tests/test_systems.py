@@ -22,7 +22,7 @@ from orbitmetric import (
     system_from_dict,
     system_from_json,
 )
-from orbitmetric.systems import aligned_distances
+from orbitmetric.systems import aligned_distances, block_lengths
 
 GOLDEN = 0.6180339887498949
 
@@ -300,6 +300,15 @@ def test_block_point_tail_continues_last_symbol():
     x = build_example31_point("U", (1, 2), 2)
     # last block is ones, so the tail keeps producing ones
     assert x.symbol(100) == 1
+
+
+def test_block_lengths_must_be_integers():
+    for rule in ([2.7, 3.9], [2, 3.0], [True, 2], [2, 0], [-1, 2]):
+        with pytest.raises(ValueError, match="block length must be an integer"):
+            block_lengths(rule, 2)
+    lengths = block_lengths(tuple(np.arange(2, 5)), 2)
+    assert lengths == [2, 3] and all(type(a) is int for a in lengths)
+    assert block_lengths("factorial", 3) == [1, 2, 6]
 
 
 def test_product_distance_is_max_metric():
