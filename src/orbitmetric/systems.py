@@ -659,7 +659,7 @@ def build_example31_point(variant: str, block_rule, n_blocks: int) -> ShiftPoint
 
 
 def block_lengths(block_rule, n_blocks: int) -> list[int]:
-    if block_rule == "factorial":
+    if isinstance(block_rule, str) and block_rule == "factorial":
         return [math.factorial(i) for i in range(1, n_blocks + 1)]
     lengths = _counts(block_rule, "block length")[:n_blocks]
     if len(lengths) < n_blocks:

@@ -12,6 +12,7 @@ from orbitmetric import (
     InsufficientTailError,
     LogisticMap,
     MeasureSet,
+    ProductSystem,
     Schedule,
     ShiftPoint,
     SizeLimitError,
@@ -27,7 +28,7 @@ from orbitmetric import (
 )
 from orbitmetric import measures
 from orbitmetric.measures import ORACLE_SUPPORT_LIMIT
-from orbitmetric.systems import GEOMETRY_CIRCLE, GEOMETRY_LINE, TentMap
+from orbitmetric.systems import GEOMETRY_CIRCLE, GEOMETRY_LINE, GEOMETRY_PRODUCT, TentMap
 
 W1_TOL = 1e-9
 PROKHOROV_TOL = 1e-9
@@ -45,6 +46,14 @@ def test_discrete_measure_merges_duplicate_atoms():
     m = DiscreteMeasure([0.5, 0.5, 0.0], [0.25, 0.25, 0.5])
     assert m.support_size == 2
     assert dict(zip(m.atoms, m.weights)) == {0.0: 0.5, 0.5: 0.5}
+    assert m.counts is None
+    c = DiscreteMeasure.from_counts([0.5, 0.5, 0.0], [1, 1, 2])
+    assert c.atoms == m.atoms and c.counts.tolist() == [2, 2]
+    assert c.weights.tolist() == [0.5, 0.5]
+    # weights are counts / n, bit for bit
+    counts = np.array([3, 1, 5, 7])
+    assert DiscreteMeasure.from_counts([0.1, 0.2, 0.3, 0.4], counts).weights.tolist() == (
+        counts / 16).tolist()
 
 
 def test_discrete_measure_validation():
@@ -56,6 +65,10 @@ def test_discrete_measure_validation():
         DiscreteMeasure([0.0], [-1.0])
     with pytest.raises(ValueError):
         DiscreteMeasure([0.0, 0.5], [1.0])
+    for atoms, counts in (([], []), ([0.0, 0.5], [1]), ([0.0], [0.5]), ([0.0], [True]),
+                          ([0.0, 0.5], [2, -1]), ([0.0], [0])):
+        with pytest.raises(ValueError):
+            DiscreteMeasure.from_counts(atoms, counts)
 
 
 def test_discrete_measure_rejects_non_finite_weights():
@@ -245,17 +258,24 @@ def test_w1_fast_paths_match_linear_program():
 def test_w1_of_empiricals_matches_assignment():
     # n * W1(empirical_n(x), empirical_n(y)) equals the min-cost matching
     rng = np.random.default_rng(22)
-    systems_pool = [CircleRotation(0.6180339887498949), DoublingMap(), BinaryShift()]
-    for system in systems_pool:
-        for _ in range(10):
-            n = int(rng.integers(2, 25))
-            x, y = sample_point(system, rng), sample_point(system, rng)
-            mu = empirical_measure(system.orbit_segment(x, n))
-            nu = empirical_measure(system.orbit_segment(y, n))
-            C = system.pairwise_dist(system.orbit_segment(x, n).points(),
-                                     system.orbit_segment(y, n).points())
-            _, cost = min_cost_assignment(C)
-            assert n * wasserstein1(mu, nu, system) == pytest.approx(cost, abs=1e-9)
+    rot = CircleRotation(0.6180339887498949)
+
+    def cases():
+        for system in (rot, DoublingMap(), BinaryShift(), ProductSystem(rot, TentMap())):
+            for _ in range(10):
+                yield system, int(rng.integers(2, 25))
+        # the sizes of the benchmark's LP requests
+        yield LogisticMap(4.0), 150
+        yield rot, 150
+
+    for system, n in cases():
+        x, y = sample_point(system, rng), sample_point(system, rng)
+        mu = empirical_measure(system.orbit_segment(x, n))
+        nu = empirical_measure(system.orbit_segment(y, n))
+        C = system.pairwise_dist(system.orbit_segment(x, n).points(),
+                                 system.orbit_segment(y, n).points())
+        _, cost = min_cost_assignment(C)
+        assert n * wasserstein1(mu, nu, system) == pytest.approx(cost, abs=1e-9)
 
 
 def test_w1_prokhorov_comparison_bounds():
@@ -320,14 +340,15 @@ def test_prokhorov_oracle_support_guard():
 
 
 def _flow_prokhorov(mu, nu, system):
-    """Prokhorov through the Dinic flow, the route of the circle and products."""
+    """Prokhorov through the Dinic flow on the float weights, the oracle of
+    every other route."""
     D = system.pairwise_dist(mu.atoms, nu.atoms)
     return measures._breakpoint_search(
         D, measures._flow_deficiency(D, mu.weights, nu.weights))
 
 
 def _route_cases(rng):
-    """Pairs of measures on the line route and on the shift route."""
+    """Pairs of measures on the line, shift, circle and product routes."""
     logistic, tent = LogisticMap(4.0), TentMap()
     for _ in range(8):
         seg_x = logistic.orbit_segment(float(rng.random()), int(rng.integers(5, 300)))
@@ -353,6 +374,23 @@ def _route_cases(rng):
             yield system, mu, two
             yield system, two, mu
             yield system, mu, mu
+    rot = CircleRotation(0.6180339887498949)
+    for _ in range(4):
+        seg_x = rot.orbit_segment(float(rng.random()), int(rng.integers(5, 300)))
+        seg_y = rot.orbit_segment(float(rng.random()), int(rng.integers(5, 300)))
+        yield rot, empirical_measure(seg_x), empirical_measure(seg_y)
+    # nested prefixes of one orbit, as omega_hat_estimate compares them
+    seg = rot.orbit_segment(float(rng.random()), 300)
+    for a, b in ((5, 8), (8, 12), (12, 5), (12, 300), (45, 67), (150, 300), (300, 101)):
+        yield rot, empirical_measure(seg.prefix(a)), empirical_measure(seg.prefix(b))
+    product = ProductSystem(rot, tent)
+    for _ in range(4):
+        seg_x = product.orbit_segment(sample_point(product, rng), int(rng.integers(5, 120)))
+        seg_y = product.orbit_segment(sample_point(product, rng), int(rng.integers(5, 12)))
+        yield product, empirical_measure(seg_x), empirical_measure(seg_y)
+        yield product, empirical_measure(seg_y), empirical_measure(seg_x)
+    # only one measure keeps counts
+    yield rot, empirical_measure(seg.prefix(9)), _random_measure(rng)
 
 
 def test_line_and_shift_routes_match_dinic_flow():
@@ -368,25 +406,54 @@ def test_line_and_shift_routes_match_subset_oracle():
             assert prokhorov(mu, nu, system) == pytest.approx(
                 prokhorov_oracle(mu, nu, system), abs=1e-12)
             checked += 1
-    assert checked >= 15
+    assert checked >= 25
 
 
 def test_identical_measures_vanish_on_line_and_shift_routes():
     rng = np.random.default_rng(29)
-    for system in (LogisticMap(4.0), BinaryShift(30)):
+    rot = CircleRotation(0.6180339887498949)
+    for system in (LogisticMap(4.0), BinaryShift(30), rot, ProductSystem(rot, TentMap())):
         mu = empirical_measure(system.orbit_segment(sample_point(system, rng), 200))
         assert prokhorov(mu, mu, system) == 0.0
 
 
 def test_only_circle_and_products_build_a_flow_network(monkeypatch):
+    # the Dinic flow runs only where a circle or product measure has no counts
     def no_flow(*args):
         raise AssertionError("flow network built")
     monkeypatch.setattr(measures, "_max_flow_bipartite", no_flow)
+    dinic = 0
     for system, mu, nu in _route_cases(np.random.default_rng(30)):
-        prokhorov(mu, nu, system)
+        if (system.geometry in (GEOMETRY_CIRCLE, GEOMETRY_PRODUCT)
+                and (mu.counts is None or nu.counts is None)):
+            with pytest.raises(AssertionError, match="flow network built"):
+                prokhorov(mu, nu, system)
+            dinic += 1
+        else:
+            prokhorov(mu, nu, system)
+    assert dinic == 1
     mu, nu = DiscreteMeasure([0.1, 0.6], [0.5, 0.5]), DiscreteMeasure.dirac(0.3)
     with pytest.raises(AssertionError, match="flow network built"):
         prokhorov(mu, nu, CircleRotation(0.3))
+
+
+def test_counted_flow_runs_only_below_the_int32_scale(monkeypatch):
+    # scipy's max flow wraps capacities past int32 without an error, so
+    # counts whose least common total reaches 2**31 go to the Dinic flow:
+    # lcm(46349, 46331) = 2,147,395,519 < 2**31 <= lcm(46349, 46351)
+    dinic_runs = []
+    max_flow = measures._max_flow_bipartite
+    monkeypatch.setattr(measures, "_max_flow_bipartite",
+                        lambda *args: dinic_runs.append(1) or max_flow(*args))
+    rot = CircleRotation(0.3)
+    mu = DiscreteMeasure.from_counts([0.1, 0.5], [46000, 349])
+    for total, counted in ((46331, True), (46351, False)):
+        nu = DiscreteMeasure.from_counts([0.12, 0.6], [total - 9000, 9000])
+        dinic_runs.clear()
+        got = prokhorov(mu, nu, rot)
+        assert (not dinic_runs) == counted
+        assert got == pytest.approx(_flow_prokhorov(mu, nu, rot), abs=1e-12)
+        assert got > 0.1
 
 
 @pytest.mark.parametrize("system, good, bad, error", [

@@ -306,8 +306,9 @@ def test_block_lengths_must_be_integers():
     for rule in ([2.7, 3.9], [2, 3.0], [True, 2], [2, 0], [-1, 2]):
         with pytest.raises(ValueError, match="block length must be an integer"):
             block_lengths(rule, 2)
-    lengths = block_lengths(tuple(np.arange(2, 5)), 2)
-    assert lengths == [2, 3] and all(type(a) is int for a in lengths)
+    for rule in (tuple(np.arange(2, 5)), np.array([2, 3, 4])):
+        lengths = block_lengths(rule, 2)
+        assert lengths == [2, 3] and all(type(a) is int for a in lengths)
     assert block_lengths("factorial", 3) == [1, 2, 6]
 
 
