@@ -154,6 +154,8 @@ def _agreement_length(delta: float) -> int:
 def sample_close_pair(system: _systems.System, delta: float,
                       rng: np.random.Generator):
     """A pair with dist < delta, built directly per geometry."""
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta!r}")
     for _ in range(_CLOSE_ATTEMPTS):
         x, y = _close_candidate(system, delta, rng)
         if system.dist(x, y) < delta:

@@ -5,12 +5,15 @@ are system states (numbers, symbol windows, or pairs).  Three distances are
 provided: exact Wasserstein-1 via the transportation linear program, exact
 closed-form Wasserstein-1 for one-dimensional geometries, and the exact
 one-sided Prokhorov metric.  Prokhorov takes its route from the geometry:
-the shift reads it off the cylinder tree of its ultrametric; the line runs
-a greedy sweep and the circle and products a maximum flow, each at the
-thresholds of a monotone search over the pairwise distances.  The flow is
-scipy's integer max flow when both measures keep integer counts (empirical
-measures do), and a Python Dinic flow otherwise.  The Dinic flow and the
-subset enumeration ``prokhorov_oracle`` check the other routes.
+the shift reads it off the cylinder tree of its ultrametric
+(``_cylinder_surplus``); the line runs a greedy sweep (``_line_unsent``) and
+the circle and products a maximum flow, each at the thresholds of a monotone
+search over the pairwise distances.  The flow is scipy's integer max flow
+when both measures keep integer counts (empirical measures do), and a
+Python Dinic flow otherwise.  The Dinic flow and the subset enumeration
+``prokhorov_oracle`` check the other routes.
+Delta_n of two length-n orbits is n times the deficiency of their
+empirical measures, and ``pseudometrics`` counts it with the same two rules.
 """
 from __future__ import annotations
 
@@ -162,6 +165,7 @@ class Schedule:
             raise ValueError("max_n must be at least 1")
         if not ratio > 1:
             raise ValueError("ratio must be greater than 1")
+        (tail,) = _systems._counts([tail], "tail length")
         vals = set()
         k = 0
         while True:
@@ -260,17 +264,18 @@ def wasserstein1_fast_1d(mu: DiscreteMeasure, nu: DiscreteMeasure,
 
 
 def _w1_line(u: np.ndarray, uw: np.ndarray, v: np.ndarray, vw: np.ndarray) -> float:
-    pts = np.concatenate([u, v])
-    order = np.argsort(pts, kind="stable")
-    return _sorted_w1(_systems.GEOMETRY_LINE, pts[order],
-                      np.concatenate([uw, -vw])[order])
+    return _merged_w1(_systems.GEOMETRY_LINE, u, uw, v, vw)
 
 
 def _w1_circle(u: np.ndarray, uw: np.ndarray, v: np.ndarray, vw: np.ndarray) -> float:
+    return _merged_w1(_systems.GEOMETRY_CIRCLE, u, uw, v, vw)
+
+
+def _merged_w1(geometry: str, u: np.ndarray, uw: np.ndarray,
+               v: np.ndarray, vw: np.ndarray) -> float:
     pts = np.concatenate([u, v])
     order = np.argsort(pts, kind="stable")
-    return _sorted_w1(_systems.GEOMETRY_CIRCLE, pts[order],
-                      np.concatenate([uw, -vw])[order])
+    return _sorted_w1(geometry, pts[order], np.concatenate([uw, -vw])[order])
 
 
 def _sorted_w1(geometry: str, pts: np.ndarray, signed: np.ndarray) -> float:
@@ -338,9 +343,11 @@ def prokhorov(mu: DiscreteMeasure, nu: DiscreteMeasure,
     on its own route:
 
     * shift: the window metric is an ultrametric, so def at 2**-k sums the
-      surplus mass of mu over the length-k cylinders; every level comes from
-      one sort of the atoms, and no search or flow network is needed;
-    * line: a greedy sweep in atom order (see ``_line_deficiency``);
+      surplus mass of mu over the length-k cylinders (``_cylinder_surplus``);
+      every level comes from one sort of the atoms, and no search or flow
+      network is needed;
+    * line: a greedy sweep over the sorted atoms of both measures
+      (``_line_unsent``);
     * circle and products: a max flow on the admissible pairs; scipy's
       integer max flow over the two measures' counts scaled to their least
       common total (see ``_counted_flow_deficiency``) when both keep counts
@@ -355,7 +362,9 @@ def prokhorov(mu: DiscreteMeasure, nu: DiscreteMeasure,
                                       system._states(nu.atoms), nu.weights[:, None])[0])
     D = system.pairwise_dist(mu.atoms, nu.atoms)
     if system.geometry == _systems.GEOMETRY_LINE:
-        return _breakpoint_search(D, _line_deficiency(D, mu.weights, nu.weights))
+        sides = ([float(a) for a in mu.atoms], mu.weights.tolist(),
+                 [float(a) for a in nu.atoms], nu.weights.tolist())
+        return _breakpoint_search(D, lambda t: _line_unsent(*sides, t))
     if (mu.counts is not None and nu.counts is not None
             and math.lcm(int(mu.counts.sum()), int(nu.counts.sum())) < _INT_FLOW_LIMIT):
         return _breakpoint_search(D, _counted_flow_deficiency(D, mu.counts, nu.counts))
@@ -438,43 +447,6 @@ def _counted_flow_deficiency(D: np.ndarray, ca: np.ndarray, cb: np.ndarray):
     return deficiency
 
 
-def _line_deficiency(D: np.ndarray, wa: np.ndarray, wb: np.ndarray):
-    """t -> the mass of ``wa`` that a maximum flow along the pairs with
-    D <= t leaves unsent, by a greedy sweep.
-
-    Rows and columns of ``D`` are line atoms in ascending order, and
-    |u - v| rounds monotonically in v on either side of u.  So each row's
-    columns within t form an interval, and both of its ends move right from
-    row to row (a convex bipartite graph): a later row reaches only a suffix
-    of the columns an earlier row reaches.  Sending each row's mass to the
-    leftmost free column mass first is therefore a maximum flow.
-    """
-    supply = wa.tolist()
-    n = D.shape[1]
-
-    def deficiency(t: float) -> float:
-        near = D <= t
-        firsts = near.argmax(axis=1).tolist()
-        ends = np.where(near.any(axis=1),
-                        n - near[:, ::-1].argmax(axis=1), 0).tolist()
-        free = wb.tolist()
-        unsent = 0.0
-        j = 0  # columns left of j are full or out of every later reach
-        for w, first, end in zip(supply, firsts, ends):
-            if first > j:
-                j = first
-            while w > 0.0 and j < end:
-                if w < free[j]:
-                    free[j] -= w
-                    w = 0.0
-                    break
-                w -= free[j]
-                j += 1
-            unsent += w
-        return unsent
-    return deficiency
-
-
 def _shift_prokhorov(sa: np.ndarray, wa: np.ndarray,
                      sb: np.ndarray, wb: np.ndarray) -> np.ndarray:
     """Prokhorov on the shift from the windows ``sa``, ``sb`` of two
@@ -490,11 +462,45 @@ def _shift_prokhorov(sa: np.ndarray, wa: np.ndarray,
     mass = block_diag(wa, wb.T)[:, order]
     rho = np.ones(wb.shape[1])
     for k in range(1, K + 1):
-        starts = np.concatenate([[0], np.flatnonzero(split < k) + 1])
-        cylinders = np.add.reduceat(mass, starts, axis=1)
-        surplus = np.maximum(cylinders[0] - cylinders[1:], 0.0).sum(axis=1)
+        surplus = _cylinder_surplus(mass, split, k)
         rho = np.minimum(rho, surplus if k == K else np.maximum(2.0 ** -k, surplus))
     return rho
+
+
+def _cylinder_surplus(mass: np.ndarray, split: np.ndarray, k: int) -> np.ndarray:
+    """Sum over the length-k cylinders C of (mass[0](C) - mass[r](C))+, for
+    each later row r: the mass of row 0 that a maximum flow to row r along
+    the pairs within 2**-k leaves unsent.  Columns are windows in the order
+    of ``_cylinder_order``, and ``split`` is its second output."""
+    starts = np.concatenate([[0], np.flatnonzero(split < k) + 1])
+    cylinders = np.add.reduceat(mass, starts, axis=1)
+    return np.maximum(cylinders[0] - cylinders[1:], 0).sum(axis=1)
+
+
+def _line_unsent(xs: list, ws: list, ys: list, vs: list, t: float):
+    """The mass of ``ws`` on the line points ``xs`` that a maximum flow to the
+    masses ``vs`` on ``ys``, along the pairs with abs(x - y) <= t (the line
+    kernel, so the pairs of ``D <= t``), leaves unsent; an int for int masses.
+
+    Both point lists ascend.  The ys within t of an x form an interval whose
+    ends rise with x (rounded subtraction is monotone), so sending each x's
+    mass in turn to the leftmost ys with room is a maximum flow (Glover 1967).
+    """
+    free = list(vs)
+    unsent = 0
+    j, n = 0, len(ys)  # ys left of j are full or out of every later x's reach
+    for x, w in zip(xs, ws):
+        while j < n and x - ys[j] > t:
+            j += 1
+        while w > 0 and j < n and abs(x - ys[j]) <= t:
+            if w < free[j]:
+                free[j] -= w
+                w = 0
+            else:
+                w -= free[j]
+                j += 1
+        unsent += w
+    return unsent
 
 
 def _max_flow_bipartite(wa: np.ndarray, wb: np.ndarray,

@@ -16,7 +16,8 @@ import numpy as np
 from . import matching
 from . import systems as _systems
 from .errors import SizeLimitError
-from .measures import Schedule, _cylinder_order, _sorted_w1
+from .measures import (Schedule, _cylinder_order, _cylinder_surplus, _line_unsent,
+                       _sorted_w1)
 # unused here; orbitbench's tracer wraps these two names in this module
 from .measures import _w1_circle, _w1_line  # noqa: F401
 
@@ -245,37 +246,6 @@ def weyl_profile(system: _systems.System, x, y, horizon: int,
     return WeylProfile(horizon, lengths, sup)
 
 
-def _line_excess(signs: np.ndarray, pts: np.ndarray, delta: float) -> int:
-    """Delta_n on the line from the merged states in ascending order.
-
-    The ys within delta of an x form an interval of the sorted ys, and both
-    its ends rise with x (rounded subtraction is monotone), so matching each
-    x in turn to the least free y within delta is a maximum matching
-    (Glover 1967).  Admissibility is the kernel's own abs(x - y) <= delta.
-    """
-    xs, ys = pts[signs > 0].tolist(), pts[signs < 0].tolist()
-    j = matched = 0
-    for x in xs:
-        while j < len(ys) and x - ys[j] > delta:
-            j += 1
-        if j < len(ys) and abs(x - ys[j]) <= delta:
-            matched += 1
-            j += 1
-    return len(xs) - matched
-
-
-def _cylinder_excess(K: int, signs: np.ndarray, split: np.ndarray,
-                     delta: float) -> int:
-    """Delta_n on the shift: windows lie within delta iff they share their
-    length-k cylinder, k the least level with 2**-k <= delta (K if none), so
-    Delta_n sums the surplus of x over y in each such cylinder."""
-    k = 0
-    while k < K and 2.0 ** -k > delta:
-        k += 1
-    starts = np.concatenate([[0], np.flatnonzero(split < k) + 1])
-    return int(np.maximum(np.add.reduceat(signs, starts), 0).sum())
-
-
 def _threshold_counter(system: _systems.System, seg_x: _systems.OrbitSegment,
                        seg_y: _systems.OrbitSegment, checkpoints, C=None):
     """``count(n, delta)``: Delta_n of the length-n prefixes of the two
@@ -284,12 +254,13 @@ def _threshold_counter(system: _systems.System, seg_x: _systems.OrbitSegment,
 
     Every geometry first tries the aligned pairs: when the first n aligned
     distances all lie within delta, Delta_n is 0.  Otherwise the line and the
-    shift count it from _prefix_sorts, with no size limit.  The circle and
-    products take the maximum threshold matching on the leading n x n block
-    of the cost matrix ``C``, built on first use and capped at
-    THRESHOLD_CAP.  Orbit segments of length n are prefixes of longer ones,
-    so that block is the cost matrix of the length-n segments, up to a
-    transpose that leaves the matching size unchanged.
+    shift count it from _prefix_sorts, with no size limit, by _line_unsent on
+    unit masses and by _cylinder_surplus at the least k with 2**-k <= delta.
+    The circle and products take the maximum threshold matching on the
+    leading n x n block of the cost matrix ``C``, built on first use and
+    capped at THRESHOLD_CAP.  Orbit segments of length n are prefixes of
+    longer ones, so that block is the cost matrix of the length-n segments,
+    up to a transpose that leaves the matching size unchanged.
     """
     geometry = system.geometry
     sorted_route = geometry in (_systems.GEOMETRY_LINE, _systems.GEOMETRY_SHIFT)
@@ -305,9 +276,16 @@ def _threshold_counter(system: _systems.System, seg_x: _systems.OrbitSegment,
         if reach[n - 1] <= delta:
             return 0
         if geometry == _systems.GEOMETRY_LINE:
-            return _line_excess(*sorts[n], delta)
+            signs, pts = sorts[n]
+            return _line_unsent(pts[signs > 0].tolist(), [1] * n,
+                                pts[signs < 0].tolist(), [1] * n, delta)
         if geometry == _systems.GEOMETRY_SHIFT:
-            return _cylinder_excess(system.horizon, *sorts[n], delta)
+            signs, split = sorts[n]
+            k = 0  # the least level with 2**-k <= delta, K if none
+            while k < system.horizon and 2.0 ** -k > delta:
+                k += 1
+            sides = np.array([signs > 0, signs < 0], dtype=np.int64)
+            return int(_cylinder_surplus(sides, split, k)[0])
         if C is None:
             C = _systems.cost_matrix(seg_x, seg_y).entries
         block = C[:n, :n]
@@ -318,10 +296,12 @@ def _threshold_counter(system: _systems.System, seg_x: _systems.OrbitSegment,
 def delta_n(system: _systems.System, x, y, n: int, delta: float) -> int:
     """Minimum number of matched pairs forced above distance delta.
 
-    Equals n minus the maximum matching on pairs within delta.  The line and
-    the shift count it from one sort of the two segments, with no size
-    limit.  The circle and products match on the cost matrix, unless the
-    aligned pairs all lie within delta, and are capped at THRESHOLD_CAP.
+    Equals n minus the maximum matching on pairs within delta, which is n
+    times the Prokhorov deficiency at delta of the two empirical measures.
+    The line and the shift count it from one sort of the two segments with
+    the sweep and the cylinder surplus that ``prokhorov`` runs there, with no
+    size limit.  The circle and products match on the cost matrix, unless
+    the aligned pairs all lie within delta, and are capped at THRESHOLD_CAP.
     """
     if not delta >= 0:
         raise ValueError("delta must be non-negative")

@@ -646,8 +646,6 @@ def build_example31_point(variant: str, block_rule, n_blocks: int) -> ShiftPoint
     """
     if variant not in ("U", "V"):
         raise ValueError("variant must be 'U' or 'V'")
-    if n_blocks < 1:
-        raise ValueError("need at least one block")
     lengths = block_lengths(block_rule, n_blocks)
     prefix: list[int] = []
     sym = 0
@@ -659,6 +657,7 @@ def build_example31_point(variant: str, block_rule, n_blocks: int) -> ShiftPoint
 
 
 def block_lengths(block_rule, n_blocks: int) -> list[int]:
+    (n_blocks,) = _counts([n_blocks], "block count")
     if isinstance(block_rule, str) and block_rule == "factorial":
         return [math.factorial(i) for i in range(1, n_blocks + 1)]
     lengths = _counts(block_rule, "block length")[:n_blocks]

@@ -302,6 +302,11 @@ def test_example31_block_rule_must_be_integers():
     rep = example31_report(Example31Config(block_rule=tuple(np.array([1, 2, 6])),
                                                n_blocks=3))
     assert [row["n"] for row in rep.observations] == [1, 3, 9]
+    for n_blocks in (True, 2.5, 0):
+        with pytest.raises(ValueError, match="block count must be an integer"):
+            example31_report(Example31Config(n_blocks=n_blocks))
+        with pytest.raises(ValueError, match="block count must be an integer"):
+            build_example31_point("U", "factorial", n_blocks)
 
 
 def test_example31_seven_blocks_on_shift_tree():
@@ -375,3 +380,13 @@ def test_sample_close_pair_respects_delta():
         for _ in range(20):
             x, y = sample_close_pair(system, 0.05, rng)
             assert system.dist(x, y) <= 0.05
+
+
+def test_sample_close_pair_rejects_non_positive_delta():
+    # no pair lies at distance < delta <= 0, so every geometry rejects it up front
+    systems = (CircleRotation(GOLDEN), TentMap(), BinaryShift(),
+               ProductSystem(CircleRotation(GOLDEN), TentMap()))
+    for system in systems:
+        for delta in (0.0, -0.1, float("nan")):
+            with pytest.raises(ValueError, match="delta"):
+                sample_close_pair(system, delta, np.random.default_rng(7))

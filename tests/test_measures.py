@@ -16,6 +16,7 @@ from orbitmetric import (
     Schedule,
     ShiftPoint,
     SizeLimitError,
+    delta_n,
     empirical_measure,
     hausdorff_measures,
     min_cost_assignment,
@@ -123,6 +124,9 @@ def test_schedule_rejects_non_integer_checkpoints():
         Schedule((1, 2, 3), tail_start=1.5)
     with pytest.raises(ValueError, match="integers"):
         Schedule.geometric(10.5)
+    for tail in (True, 2.5, 0):
+        with pytest.raises(ValueError, match="tail length must be an integer"):
+            Schedule.geometric(20, tail=tail)
     assert Schedule((np.int64(2), 3)).max_n == 3
 
 
@@ -415,6 +419,25 @@ def test_identical_measures_vanish_on_line_and_shift_routes():
     for system in (LogisticMap(4.0), BinaryShift(30), rot, ProductSystem(rot, TentMap())):
         mu = empirical_measure(system.orbit_segment(sample_point(system, rng), 200))
         assert prokhorov(mu, mu, system) == 0.0
+
+
+def test_prokhorov_of_equal_length_empiricals_is_least_threshold_fraction():
+    # Delta_n(x, y, t) = n * def_t(mu, nu) for the length-n empirical measures:
+    # both are what a maximum flow along the pairs within t leaves unsent.
+    # On the circle and products this pits scipy's flow against the matching.
+    rng = np.random.default_rng(31)
+    rot = CircleRotation(0.6180339887498949)
+    for system in (LogisticMap(4.0), TentMap(), BinaryShift(5), BinaryShift(30), rot,
+                   ProductSystem(rot, TentMap())):
+        for _ in range(3):
+            n = int(rng.integers(1, 26))
+            x, y = sample_point(system, rng), sample_point(system, rng)
+            mu = empirical_measure(system.orbit_segment(x, n))
+            nu = empirical_measure(system.orbit_segment(y, n))
+            D = system.pairwise_dist(mu.atoms, nu.atoms)
+            least = min(max(t, delta_n(system, x, y, n, t) / n)
+                        for t in np.unique(np.append(D, 0.0)).tolist())
+            assert prokhorov(mu, nu, system) == pytest.approx(least, abs=1e-12)
 
 
 def test_only_circle_and_products_build_a_flow_network(monkeypatch):

@@ -310,6 +310,10 @@ def test_block_lengths_must_be_integers():
         lengths = block_lengths(rule, 2)
         assert lengths == [2, 3] and all(type(a) is int for a in lengths)
     assert block_lengths("factorial", 3) == [1, 2, 6]
+    for n_blocks in (True, 2.5, 3.0, 0, -1):
+        with pytest.raises(ValueError, match="block count must be an integer"):
+            block_lengths("factorial", n_blocks)
+    assert block_lengths("factorial", np.int64(2)) == [1, 2]
 
 
 def test_product_distance_is_max_metric():
