@@ -182,7 +182,7 @@ def _curated_close_pairs(system: _systems.System, delta: float) -> list:
     pair sits at the largest dyadic distance not exceeding delta, so a
     dyadic delta includes its own boundary witness.
     """
-    if system.geometry != _systems.GEOMETRY_SHIFT or delta <= 0:
+    if system.geometry != _systems.GEOMETRY_SHIFT or not delta > 0:
         return []
     k0 = max(1, math.ceil(math.log2(1.0 / delta))) if delta <= 1.0 else 1
     probe = ShiftPoint((0,) * min(k0, _SHIFT_PREFIX_LEN), (1,))
@@ -229,9 +229,12 @@ def _pair_report(name: str, params: dict, system: _systems.System, pairs,
     ``observe(i, pair)`` returns the observation rows of the i-th pair and
     its statistic.  The largest statistic is the summary, a pair whose
     statistic reaches 10x the threshold is a witness, and the summary
-    against the threshold gives the verdict.
+    against the threshold gives the verdict.  Without a pair the report
+    stays inconclusive, with no summary.
     """
     report = DiagnosticReport(name, params)
+    if not pairs:
+        return report
     score = 0.0
     for i, pair in enumerate(pairs):
         rows, stat = observe(i, pair)
@@ -254,7 +257,7 @@ def continuity_modulus(system: _systems.System, delta: float, pair_samples: int,
     """
     params = _parameters(system, schedule, delta=delta, pair_samples=pair_samples,
                          seed=seed, threshold=threshold)
-    if delta <= 0:
+    if not delta > 0:
         return DiagnosticReport("continuity_modulus", params)
 
     def observe(i, pair):
@@ -273,7 +276,7 @@ def empirical_equicontinuity(system: _systems.System, delta: float,
     n_list = _systems._counts(n_list, "n in n_list")
     params = _parameters(system, delta=delta, pair_samples=pair_samples,
                          n_list=n_list, seed=seed, threshold=threshold)
-    if delta <= 0 or not n_list:
+    if not delta > 0 or not n_list:
         return DiagnosticReport("empirical_equicontinuity", params)
     n_max = max(n_list)
 
@@ -470,7 +473,7 @@ def mean_equicontinuity_diagnostic(system: _systems.System, delta: float,
     """
     params = _parameters(system, schedule, delta=delta, pair_samples=pair_samples,
                          seed=seed, threshold=threshold)
-    if delta <= 0 or delta > system.diameter:
+    if not delta > 0 or delta > system.diameter:
         return DiagnosticReport("mean_equicontinuity", params)
     if schedule.max_n > ASSIGNMENT_CAP:
         raise SizeLimitError(
@@ -499,7 +502,7 @@ def en_equicontinuity_diagnostic(system: _systems.System, delta: float,
     n_list = _systems._counts(n_list, "n in n_list")
     params = _parameters(system, delta=delta, pair_samples=pair_samples,
                          n_list=n_list, seed=seed, threshold=threshold)
-    if delta <= 0 or not n_list:
+    if not delta > 0 or not n_list:
         return DiagnosticReport("en_equicontinuity", params)
 
     def observe(i, pair):

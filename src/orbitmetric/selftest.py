@@ -29,10 +29,13 @@ def _check_assignment(rng: np.random.Generator) -> str | None:
 def _check_matching_identity(rng: np.random.Generator) -> str | None:
     rot = systems.CircleRotation(alpha=0.6180339887)
     sh = systems.BinaryShift()
-    cases = [(rot, float(rng.random()), float(rng.random())),
-             (sh, analysis.sample_point(sh, rng), analysis.sample_point(sh, rng))]
-    for system, x, y in cases:
-        for n in (1, 7, 20):
+    prod = systems.ProductSystem(rot, systems.TentMap())
+    cases = [(rot, float(rng.random()), float(rng.random()), (1, 7, 20)),
+             (sh, analysis.sample_point(sh, rng), analysis.sample_point(sh, rng), (1, 7, 20)),
+             # more atoms than the W1 LP seeds a side, so its pricing decides
+             (prod, analysis.sample_point(prod, rng), analysis.sample_point(prod, rng), (60,))]
+    for system, x, y, lengths in cases:
+        for n in lengths:
             sx = system.orbit_segment(x, n)
             sy = system.orbit_segment(y, n)
             _, cost = matching.min_cost_assignment(systems.cost_matrix(sx, sy))

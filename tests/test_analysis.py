@@ -82,6 +82,26 @@ def test_close_pair_diagnostic_without_pairs_is_inconclusive(run):
     assert rep.observations == [] and rep.witnesses == [] and rep.summary == {}
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("system, run", [
+    (TentMap(), lambda s: continuity_modulus(s, 0.05, 0, Schedule((5, 10)))),
+    (TentMap(), lambda s: en_equicontinuity_diagnostic(s, 0.05, 0, [5])),
+    (BinaryShift(), lambda s: continuity_modulus(s, NAN, 0, Schedule((5, 10)))),
+    (BinaryShift(), lambda s: mean_equicontinuity_diagnostic(s, NAN, 0, Schedule((5, 10)))),
+    (BinaryShift(), lambda s: empirical_equicontinuity(s, NAN, 0, [5])),
+    (TentMap(), lambda s: en_equicontinuity_diagnostic(s, NAN, 0, [5])),
+    (TentMap(), lambda s: mean_equicontinuity_diagnostic(s, NAN, 3, Schedule((5, 10)))),
+], ids=["modulus-no_samples", "en-no_samples", "modulus-nan_delta", "meaneq-nan_delta",
+        "empirical-nan_delta", "en-nan_delta", "meaneq-nan_delta_with_samples"])
+def test_nan_delta_or_no_sampled_pair_is_inconclusive(system, run):
+    # no pair was observed, so there is no statistic to call consistent
+    rep = run(system)
+    assert rep.verdict == VERDICT_INCONCLUSIVE
+    assert rep.observations == [] and rep.witnesses == [] and rep.summary == {}
+
+
 @pytest.mark.parametrize("run", [empirical_equicontinuity, en_equicontinuity_diagnostic],
                          ids=["empirical", "en"])
 def test_n_list_entries_must_be_integers(run):

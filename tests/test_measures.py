@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from orbitmetric import (
     BinaryShift,
@@ -271,6 +272,9 @@ def test_w1_of_empiricals_matches_assignment():
         # the sizes of the benchmark's LP requests
         yield LogisticMap(4.0), 150
         yield rot, 150
+        # products past the 16 pairs a side that seed the priced LP
+        yield ProductSystem(rot, TentMap()), 60
+        yield ProductSystem(CircleRotation(0.41), TentMap()), 80
 
     for system, n in cases():
         x, y = sample_point(system, rng), sample_point(system, rng)
@@ -280,6 +284,77 @@ def test_w1_of_empiricals_matches_assignment():
                                  system.orbit_segment(y, n).points())
         _, cost = min_cost_assignment(C)
         assert n * wasserstein1(mu, nu, system) == pytest.approx(cost, abs=1e-9)
+
+
+def _dense_transport(D, wa, wb):
+    """The transportation LP over all m*n pairs: the oracle of the priced one."""
+    m, n = D.shape
+    A = np.vstack([np.kron(np.eye(m), np.ones(n)), np.kron(np.ones(m), np.eye(n))])
+    res = linprog(D.ravel(), A_eq=A, b_eq=np.concatenate([wa, wb]), bounds=(0, None),
+                  method="highs")
+    assert res.success
+    return res.fun
+
+
+def _dense_w1(mu, nu, system):
+    return _dense_transport(system.pairwise_dist(mu.atoms, nu.atoms), mu.weights, nu.weights)
+
+
+def _float_weights_with_a_zero(meas, rng):
+    weights = rng.dirichlet(np.ones(meas.support_size))
+    weights[rng.integers(meas.support_size)] = 0.0
+    return DiscreteMeasure(meas.atoms, weights / weights.sum())
+
+
+def test_w1_priced_lp_matches_dense_lp():
+    # unequal supports beyond the 16 seeded neighbours a side, counted and
+    # float weights, zero-weight atoms, on every geometry
+    rng = np.random.default_rng(24)
+    rot = CircleRotation(0.6180339887498949)
+    systems = (LogisticMap(3.9), rot, BinaryShift(3), BinaryShift(12),
+               ProductSystem(rot, TentMap()))
+    for system in systems:
+        for _ in range(4):
+            mu, nu = (empirical_measure(system.orbit_segment(sample_point(system, rng),
+                                                             int(rng.integers(20, 90))))
+                      for _ in range(2))
+            if rng.random() < 0.5:
+                mu = _float_weights_with_a_zero(mu, rng)
+            if rng.random() < 0.5:
+                nu = _float_weights_with_a_zero(nu, rng)
+            assert abs(wasserstein1(mu, nu, system) - _dense_w1(mu, nu, system)) <= 1e-12
+
+
+def test_w1_pricing_adds_the_pairs_the_seed_misses(monkeypatch):
+    # nu puts half its mass on the atom at 0, so at least 20 of mu's 40
+    # uniform atoms must each send all their mass there, from both sides of
+    # the wrap; the seed joins that column only to its 16 nearest rows and
+    # to the rows from 0 up that the northwest corner sends there, so it
+    # misses rows the optimum needs
+    rot = CircleRotation(0.3)
+    atoms = [k / 40 for k in range(40)]
+    cases = [(DiscreteMeasure(atoms, np.full(40, 1 / 40)),
+              DiscreteMeasure(atoms, [0.5] + [0.5 / 39] * 39)),
+             (DiscreteMeasure.from_counts(atoms, np.ones(40, int)),
+              DiscreteMeasure.from_counts(atoms, [39] + [1] * 39))]
+    for mu, nu in cases:
+        D = rot.pairwise_dist(mu.atoms, nu.atoms)
+        seed = measures._w1_seed(D, mu.weights, nu.weights)
+        want = _dense_w1(mu, nu, rot)
+        # pairs outside the seed priced out of reach: the seed alone is not optimal
+        assert _dense_transport(np.where(seed, D, 2.0), mu.weights, nu.weights) > want + 1e-3
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(len(args[0]))
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(measures, "linprog", spy)
+        w1 = wasserstein1(mu, nu, rot)
+        monkeypatch.undo()
+        assert calls[0] == seed.sum() < 40 * 40 and len(calls) > 1
+        assert abs(w1 - want) <= 1e-12
+        assert abs(w1 - wasserstein1_fast_1d(mu, nu, GEOMETRY_CIRCLE)) <= 1e-12
 
 
 def test_w1_prokhorov_comparison_bounds():
