@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -25,7 +24,8 @@ from .measures import (
     hausdorff_measures,
     omega_hat_estimate,
     prokhorov,
-    _shift_prokhorov,
+    _breakpoint_search,
+    _shift_deficiency,
 )
 from .pseudometrics import (
     ASSIGNMENT_CAP,
@@ -128,7 +128,7 @@ def _close_candidate(system: _systems.System, delta: float, rng: np.random.Gener
         return x, min(max(x + off, 0.0), 1.0)
     if g == _systems.GEOMETRY_SHIFT:
         x = sample_point(system, rng)
-        k0 = _agreement_length(delta)
+        k0 = system._level(np.nextafter(delta, 0), _SHIFT_PREFIX_LEN)  # least 2**-k < delta
         if k0 >= _SHIFT_PREFIX_LEN:
             return x, x
         suffix = rng.integers(0, 2, size=_SHIFT_PREFIX_LEN - k0)
@@ -141,14 +141,6 @@ def _close_candidate(system: _systems.System, delta: float, rng: np.random.Gener
         x2, y2 = _close_candidate(system.second, delta, rng)
         return (x1, x2), (y1, y2)
     raise ValueError(f"cannot sample from geometry {g!r}")
-
-
-def _agreement_length(delta: float) -> int:
-    """Smallest k with 2**-k < delta, clamped to the stored prefix length."""
-    if delta > 1.0:
-        return 0
-    k = int(math.floor(math.log2(1.0 / delta))) + 1
-    return min(max(k, 0), _SHIFT_PREFIX_LEN)
 
 
 def sample_close_pair(system: _systems.System, delta: float,
@@ -184,8 +176,8 @@ def _curated_close_pairs(system: _systems.System, delta: float) -> list:
     """
     if system.geometry != _systems.GEOMETRY_SHIFT or not delta > 0:
         return []
-    k0 = max(1, math.ceil(math.log2(1.0 / delta))) if delta <= 1.0 else 1
-    probe = ShiftPoint((0,) * min(k0, _SHIFT_PREFIX_LEN), (1,))
+    k0 = max(1, system._level(delta, _SHIFT_PREFIX_LEN))
+    probe = ShiftPoint((0,) * k0, (1,))
     zeros = ShiftPoint.zeros()
     if system.dist(zeros, probe) <= delta:
         return [(zeros, probe)]
@@ -255,6 +247,7 @@ def continuity_modulus(system: _systems.System, delta: float, pair_samples: int,
     Samples close pairs (plus curated adversarial pairs for the shift),
     estimates each pair's tail value, and reports the maximum.
     """
+    (pair_samples,) = _systems._counts([pair_samples], "pair sample count", least=0)
     params = _parameters(system, schedule, delta=delta, pair_samples=pair_samples,
                          seed=seed, threshold=threshold)
     if not delta > 0:
@@ -274,6 +267,7 @@ def empirical_equicontinuity(system: _systems.System, delta: float,
                              threshold: float = DEFAULT_THRESHOLD) -> DiagnosticReport:
     """Worst Prokhorov distance between empirical measures of close pairs."""
     n_list = _systems._counts(n_list, "n in n_list")
+    (pair_samples,) = _systems._counts([pair_samples], "pair sample count", least=0)
     params = _parameters(system, delta=delta, pair_samples=pair_samples,
                          n_list=n_list, seed=seed, threshold=threshold)
     if not delta > 0 or not n_list:
@@ -303,8 +297,7 @@ def unique_ergodicity_diagnostic(system: _systems.System, point_samples: int,
     A uniquely ergodic system must have diameter zero; the fixed points of
     the shift are always included as the canonical counterexample pair.
     """
-    if point_samples < 2:
-        raise ValueError("need at least two sample points")
+    (point_samples,) = _systems._counts([point_samples], "point sample count", least=2)
     params = _parameters(system, schedule, point_samples=point_samples,
                          seed=seed, threshold=threshold)
     points = _sample_points(system, point_samples, seed)
@@ -422,16 +415,14 @@ def birkhoff_profile(system: _systems.System, observable: str,
     the worst window average anywhere in time (start positions up to the
     horizon), the stronger of the two uniformity surrogates.
     """
-    if point_samples < 1:
-        raise ValueError("need at least one sample point")
+    (point_samples,) = _systems._counts([point_samples], "point sample count")
     params = _parameters(system, schedule, observable=observable,
                          point_samples=point_samples, seed=seed, threshold=threshold)
     report = DiagnosticReport("birkhoff_profile", params)
     points = _sample_points(system, point_samples, seed)
-    n_max = schedule.max_n
     csums = []
     for p in points:
-        vals = observable_values(system, system.orbit_segment(p, n_max), observable)
+        vals = observable_values(system, system.orbit_segment(p, schedule.max_n), observable)
         csums.append(np.concatenate([[0.0], np.cumsum(vals)]))
     spread_last = 0.0
     for n in schedule.checkpoints:
@@ -443,8 +434,6 @@ def birkhoff_profile(system: _systems.System, observable: str,
         })
         spread_last = spread
     for ell in schedule.tail_checkpoints:
-        if ell > n_max:
-            continue
         sups, infs = [], []
         for cs in csums:
             win = (cs[ell:] - cs[:-ell]) / ell
@@ -471,6 +460,7 @@ def mean_equicontinuity_diagnostic(system: _systems.System, delta: float,
     and (x, x) under the product map, which moves the time average into a
     single product orbit.
     """
+    (pair_samples,) = _systems._counts([pair_samples], "pair sample count", least=0)
     params = _parameters(system, schedule, delta=delta, pair_samples=pair_samples,
                          seed=seed, threshold=threshold)
     if not delta > 0 or delta > system.diameter:
@@ -500,6 +490,7 @@ def en_equicontinuity_diagnostic(system: _systems.System, delta: float,
                                  threshold: float = DEFAULT_THRESHOLD) -> DiagnosticReport:
     """Uniform-in-n modulus: worst ebar_n over close pairs and every listed n."""
     n_list = _systems._counts(n_list, "n in n_list")
+    (pair_samples,) = _systems._counts([pair_samples], "pair sample count", least=0)
     params = _parameters(system, delta=delta, pair_samples=pair_samples,
                          n_list=n_list, seed=seed, threshold=threshold)
     if not delta > 0 or not n_list:
@@ -541,12 +532,13 @@ class Example31Config:
 def _distance_to_fixed_segment(meas: DiscreteMeasure, system: _systems.BinaryShift,
                                step: float) -> float:
     """min over the alpha grid of the Prokhorov distance to
-    alpha*delta(all zeros) + (1-alpha)*delta(all ones)."""
+    alpha*delta(all zeros) + (1-alpha)*delta(all ones): one search over the
+    least deficiency across the grid, as the minima over alpha and t commute."""
     K, m = system.horizon, int(round(1.0 / step))
     alpha = np.arange(m + 1) / m
-    return float(_shift_prokhorov(system._states(meas.atoms), meas.weights,
-                                  system._states([(0,) * K, (1,) * K]),
-                                  np.stack([alpha, 1.0 - alpha])).min())
+    surplus = _shift_deficiency(system, meas.atoms, meas.weights, [(0,) * K, (1,) * K],
+                                np.stack([alpha, 1.0 - alpha]))
+    return _breakpoint_search(np.ldexp(1.0, -np.arange(K)), lambda t: float(surplus(t).min()))
 
 
 def example31_report(config: Example31Config = Example31Config()) -> DiagnosticReport:

@@ -4,15 +4,15 @@ The measures here are finitely supported probability measures whose atoms
 are system states (numbers, symbol windows, or pairs).  Three distances are
 provided: exact Wasserstein-1 via the transportation linear program, solved
 by column generation; exact closed-form Wasserstein-1 for one-dimensional
-geometries; and the exact one-sided Prokhorov metric.  Prokhorov takes its
-route from the geometry: the shift reads it off the cylinder tree of its
-ultrametric (``_cylinder_surplus``); the line runs a greedy sweep
-(``_line_unsent``) and
-the circle and products a maximum flow, each at the thresholds of a monotone
-search over the pairwise distances.  The flow is scipy's integer max flow
-when both measures keep integer counts (empirical measures do), and a
-Python Dinic flow otherwise.  The Dinic flow and the subset enumeration
-``prokhorov_oracle`` check the other routes.
+geometries; and the exact one-sided Prokhorov metric.  Prokhorov runs one
+monotone search over the thresholds (``_breakpoint_search``) on every
+geometry, and the geometry gives only its deficiency rule: the shift sums
+the surplus over the cylinders of its ultrametric (``_cylinder_surplus``),
+the line runs a greedy sweep (``_line_unsent``) and the circle and products
+a maximum flow.  The flow is scipy's integer max flow when both measures
+keep integer counts (empirical measures do), and a Python Dinic flow
+otherwise.  The Dinic flow and the subset enumeration ``prokhorov_oracle``
+check the other routes.
 Delta_n of two length-n orbits is n times the deficiency of their
 empirical measures, and ``pseudometrics`` counts it with the same two rules.
 """
@@ -382,13 +382,16 @@ def prokhorov(mu: DiscreteMeasure, nu: DiscreteMeasure,
     sup_B (mu(B) - nu(B^eps)) is def(t), the mass of mu that a maximum flow
     along the pairs at distance <= t leaves unsent (1 - maxflow), and the
     distance is the least max(t, def(t)) over the thresholds t that are
-    pairwise support distances (0 included).  Each geometry computes def(t)
-    on its own route:
+    pairwise support distances (0 included).  One monotone search over the
+    sorted thresholds (``_breakpoint_search``) finds it on every geometry,
+    and each geometry computes def(t) by its own rule:
 
-    * shift: the window metric is an ultrametric, so def at 2**-k sums the
-      surplus mass of mu over the length-k cylinders (``_cylinder_surplus``);
-      every level comes from one sort of the atoms, and no search or flow
-      network is needed;
+    * shift: the window metric is an ultrametric, so def(t) sums the surplus
+      mass of mu over the cylinders of level ``BinaryShift._level`` of t
+      (``_shift_deficiency``), every level from one sort of the atoms, with
+      no flow network; the thresholds are every window distance 2**-k,
+      k < horizon, a superset of the support distances that leaves the least
+      value unchanged, so no distance matrix is built;
     * line: a greedy sweep over the sorted atoms of both measures
       (``_line_unsent``);
     * circle and products: a max flow on the admissible pairs; scipy's
@@ -396,13 +399,11 @@ def prokhorov(mu: DiscreteMeasure, nu: DiscreteMeasure,
       common total (see ``_counted_flow_deficiency``) when both keep counts
       and that total fits its int32 capacities, Dinic's algorithm in Python
       on the float weights otherwise.
-
-    The line, circle and products find the least value by a monotone search
-    over the sorted thresholds.
     """
     if system.geometry == _systems.GEOMETRY_SHIFT:
-        return float(_shift_prokhorov(system._states(mu.atoms), mu.weights,
-                                      system._states(nu.atoms), nu.weights[:, None])[0])
+        surplus = _shift_deficiency(system, mu.atoms, mu.weights, nu.atoms, nu.weights[:, None])
+        return _breakpoint_search(np.ldexp(1.0, -np.arange(system.horizon)),
+                                  lambda t: float(surplus(t)[0]))
     D = system.pairwise_dist(mu.atoms, nu.atoms)
     if system.geometry == _systems.GEOMETRY_LINE:
         sides = ([float(a) for a in mu.atoms], mu.weights.tolist(),
@@ -490,24 +491,19 @@ def _counted_flow_deficiency(D: np.ndarray, ca: np.ndarray, cb: np.ndarray):
     return deficiency
 
 
-def _shift_prokhorov(sa: np.ndarray, wa: np.ndarray,
-                     sb: np.ndarray, wb: np.ndarray) -> np.ndarray:
-    """Prokhorov on the shift from the windows ``sa``, ``sb`` of two
-    measures, one value for each column of nu weights in ``wb``.
+def _shift_deficiency(system: _systems.BinaryShift, atoms_a, wa: np.ndarray,
+                      atoms_b, wb: np.ndarray):
+    """t -> def(t) of mu (``atoms_a``, weights ``wa``) against each nu on
+    ``atoms_b`` whose weights are a column of ``wb``, as an array.
 
-    The pairs at distance <= 2**-k join each length-k cylinder C to itself,
-    so def_k = sum over C of (mu(C) - nu(C))+.  With K the horizon,
-    rho = min(def_K, min over 1 <= k < K of max(2**-k, def_k), 1).
+    The pairs within t join each cylinder of level ``system._level`` of t to
+    itself, so def(t) = sum over those cylinders C of (mu(C) - nu(C))+.
     """
-    K = sa.shape[1]
-    order, split = _cylinder_order(np.concatenate([sa, sb]))
+    order, split = _cylinder_order(np.concatenate([system._states(atoms_a),
+                                                   system._states(atoms_b)]))
     # one row per measure: a row sums pairwise as a 1-d array does; a column would not
     mass = block_diag(wa, wb.T)[:, order]
-    rho = np.ones(wb.shape[1])
-    for k in range(1, K + 1):
-        surplus = _cylinder_surplus(mass, split, k)
-        rho = np.minimum(rho, surplus if k == K else np.maximum(2.0 ** -k, surplus))
-    return rho
+    return lambda t: _cylinder_surplus(mass, split, system._level(t, system.horizon))
 
 
 def _cylinder_surplus(mass: np.ndarray, split: np.ndarray, k: int) -> np.ndarray:

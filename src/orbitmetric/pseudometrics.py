@@ -255,7 +255,7 @@ def _threshold_counter(system: _systems.System, seg_x: _systems.OrbitSegment,
     Every geometry first tries the aligned pairs: when the first n aligned
     distances all lie within delta, Delta_n is 0.  Otherwise the line and the
     shift count it from _prefix_sorts, with no size limit, by _line_unsent on
-    unit masses and by _cylinder_surplus at the least k with 2**-k <= delta.
+    unit masses and by _cylinder_surplus at level ``BinaryShift._level`` of delta.
     The circle and products take the maximum threshold matching on the
     leading n x n block of the cost matrix ``C``, built on first use and
     capped at THRESHOLD_CAP.  Orbit segments of length n are prefixes of
@@ -281,11 +281,8 @@ def _threshold_counter(system: _systems.System, seg_x: _systems.OrbitSegment,
                                 pts[signs < 0].tolist(), [1] * n, delta)
         if geometry == _systems.GEOMETRY_SHIFT:
             signs, split = sorts[n]
-            k = 0  # the least level with 2**-k <= delta, K if none
-            while k < system.horizon and 2.0 ** -k > delta:
-                k += 1
             sides = np.array([signs > 0, signs < 0], dtype=np.int64)
-            return int(_cylinder_surplus(sides, split, k)[0])
+            return int(_cylinder_surplus(sides, split, system._level(delta, system.horizon))[0])
         if C is None:
             C = _systems.cost_matrix(seg_x, seg_y).entries
         block = C[:n, :n]
@@ -355,8 +352,8 @@ def sandwich_check(system: _systems.System, x, y, n: int,
     ASSIGNMENT_CAP.  Delta_n takes delta_n's route; products read it from
     the same cost matrix.
     """
-    if not delta >= 0:
-        raise ValueError("delta must be non-negative")
+    if not 0 <= delta < np.inf:  # delta * Delta_n is nan at delta = inf
+        raise ValueError("delta must be non-negative and finite")
     fast = system.geometry in _FAST_GEOMETRIES
     if not fast and n > ASSIGNMENT_CAP:
         raise SizeLimitError(f"sandwich check needs assignment, capped at {ASSIGNMENT_CAP}")

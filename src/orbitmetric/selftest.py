@@ -80,8 +80,9 @@ def _check_closed_forms(rng: np.random.Generator) -> str | None:
 
 
 def _check_prokhorov(rng: np.random.Generator) -> str | None:
-    # one system per route: line sweep, Dinic flow on the circle's float
-    # weights, shift tree; then scipy's integer flow on the circle's counts
+    # one system per deficiency rule: line sweep, Dinic flow on the circle's
+    # float weights, shift cylinder surplus; then scipy's integer flow on the
+    # circle's counts
     routes = [(systems.DoublingMap(), lambda k: rng.random(k)),
               (systems.CircleRotation(alpha=0.3), lambda k: rng.random(k)),
               (systems.BinaryShift(3),

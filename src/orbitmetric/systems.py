@@ -197,12 +197,17 @@ def _is_count(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _counts(values, what: str) -> list[int]:
+def _is_number(value) -> bool:
+    """Whether ``value`` is a Python int or float (numpy floats are), but not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _counts(values, what: str, least: int = 1) -> list[int]:
     """``values`` as Python ints; ``ValueError`` unless each is an integer
-    (the ``_is_count`` rule) of at least 1."""
+    (the ``_is_count`` rule) of at least ``least``."""
     values = list(values)
-    if not all(_is_count(v) and v >= 1 for v in values):
-        raise ValueError(f"each {what} must be an integer >= 1, got {values!r}")
+    if not all(_is_count(v) and v >= least for v in values):
+        raise ValueError(f"each {what} must be an integer >= {least}, got {values!r}")
     return [int(v) for v in values]
 
 
@@ -345,7 +350,7 @@ class CircleRotation(_NumericSystem):
     diameter = 0.5
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.alpha, (int, float)) and 0 <= self.alpha < 1):
+        if not (_is_number(self.alpha) and 0 <= self.alpha < 1):
             raise ValueError("rotation angle must lie in [0, 1)")
 
     def _kernel(self, a, b) -> np.ndarray:
@@ -457,7 +462,7 @@ class LogisticMap(_IntervalSystem):
     kind = "logistic_map"
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.r, (int, float)) and 0 <= self.r <= 4):
+        if not (_is_number(self.r) and 0 <= self.r <= 4):
             raise ValueError("logistic parameter must lie in [0, 4]")
 
     def step(self, p):
@@ -493,8 +498,9 @@ class BinaryShift(System):
     diameter = 1.0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.horizon, int) and self.horizon >= 1):
+        if not (_is_count(self.horizon) and self.horizon >= 1):
             raise ValueError("shift horizon must be a positive integer")
+        object.__setattr__(self, "horizon", int(self.horizon))
 
     def _kernel(self, a, b) -> np.ndarray:
         """2**-(first index where two windows differ) over window stacks."""
@@ -511,6 +517,12 @@ class BinaryShift(System):
         d = np.ldexp(1.0, -first)
         d[first == K] = 0.0
         return d
+
+    @staticmethod
+    def _level(t: float, cap: int) -> int:
+        """The least k <= cap with 2**-k <= t, cap if none; under ``_kernel``,
+        windows lie within t >= 0 iff their first _level(t, horizon) symbols agree."""
+        return int(np.count_nonzero(np.ldexp(1.0, -np.arange(cap)) > t))
 
     def _states(self, atoms) -> np.ndarray:
         rows = [_shift_symbols(p, self.horizon) for p in atoms]
@@ -672,7 +684,7 @@ def block_lengths(block_rule, n_blocks: int) -> list[int]:
 def _number(d: dict, key: str, default=None):
     """A numeric field of a system spec; a missing or ill-typed one raises."""
     value = d.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise ValueError(f"{d['kind']} spec needs a number in field {key!r}, "
                          f"got {value!r}")
     return value

@@ -33,6 +33,7 @@ from orbitmetric.analysis import (
     VERDICT_CONSISTENT,
     VERDICT_INCONCLUSIVE,
     VERDICT_VIOLATED,
+    _curated_close_pairs,
     _distance_to_fixed_segment,
 )
 from orbitmetric.systems import TentMap
@@ -112,6 +113,27 @@ def test_n_list_entries_must_be_integers(run):
     rep = run(rot, 0.05, 2, (np.int64(5), 10))
     assert rep.parameters["n_list"] == [5, 10]
     assert json.loads(rep.to_json())["parameters"]["n_list"] == [5, 10]
+
+
+@pytest.mark.parametrize("run, least", [
+    (lambda s, k: continuity_modulus(s, 0.05, k, Schedule((5, 10))), 0),
+    (lambda s, k: mean_equicontinuity_diagnostic(s, 0.05, k, Schedule((5, 10))), 0),
+    (lambda s, k: empirical_equicontinuity(s, 0.05, k, [5]), 0),
+    (lambda s, k: en_equicontinuity_diagnostic(s, 0.05, k, [5]), 0),
+    (lambda s, k: unique_ergodicity_diagnostic(s, k, Schedule((5, 10))), 2),
+    (lambda s, k: birkhoff_profile(s, "coordinate", k, Schedule((5, 10))), 1),
+], ids=["modulus", "meaneq", "empirical", "en", "unique_ergodicity", "birkhoff"])
+def test_sample_counts_must_be_integers(run, least):
+    # a sample count is an integer, echoed as a Python int so the report serialises
+    rot = CircleRotation(0.3)
+    for bad in (2.5, float(least) + 1.0, True, least - 1, -3):
+        with pytest.raises(ValueError, match="sample count must be an integer"):
+            run(rot, bad)
+    for good in (np.int64(least + 1), least):
+        rep = run(rot, good)
+        echo = rep.parameters.get("pair_samples", rep.parameters.get("point_samples"))
+        assert type(echo) is int
+        json.loads(rep.to_json())
 
 
 # --------------------------------------------- empirical equicontinuity
@@ -400,6 +422,16 @@ def test_sample_close_pair_respects_delta():
         for _ in range(20):
             x, y = sample_close_pair(system, 0.05, rng)
             assert system.dist(x, y) <= 0.05
+    # dyadic deltas and their one-ulp neighbours on the shift; the curated
+    # pair sits at the largest dyadic distance within delta
+    shift = BinaryShift()
+    for k in range(0, 12):
+        for delta in (2.0 ** -k, np.nextafter(2.0 ** -k, 0), np.nextafter(2.0 ** -k, 1)):
+            x, y = sample_close_pair(shift, delta, rng)
+            assert shift.dist(x, y) < delta
+            ((zeros, probe),) = _curated_close_pairs(shift, delta)
+            assert shift.dist(zeros, probe) == max(2.0 ** -j for j in range(1, 30)
+                                                   if 2.0 ** -j <= delta)
 
 
 def test_sample_close_pair_rejects_non_positive_delta():

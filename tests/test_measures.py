@@ -439,7 +439,7 @@ def _route_cases(rng):
         mu = DiscreteMeasure(rng.integers(0, 9, k) / 8, rng.dirichlet(np.ones(k)))
         nu = DiscreteMeasure(rng.integers(0, 9, m) / 8, rng.dirichlet(np.ones(m)))
         yield tent, mu, nu
-    for horizon in (3, 5, 30):
+    for horizon in (1, 2, 3, 5, 30):
         shift = BinaryShift(horizon)
         for _ in range(6):
             seg_x = shift.orbit_segment(sample_point(shift, rng), int(rng.integers(5, 300)))

@@ -371,9 +371,12 @@ def test_delta_shift_cylinders_match_threshold_matching():
         pairs.append((ShiftPoint.from_string("", "011"), ShiftPoint.from_string("", "110")))
         for x, y in pairs:
             n = int(rng.integers(1, 200))
-            # on and off the dyadic grid, 0, and at or above the diameter
-            for delta in (0.0, 2.0 ** -K, 2.0 ** -int(rng.integers(1, K + 1)),
-                          float(rng.random()), 0.3, 1.0, 1.5):
+            dyadic = 2.0 ** -int(rng.integers(1, K + 1))
+            # on, one ulp either side of and off the dyadic grid, 0, and at or
+            # above the diameter
+            for delta in (0.0, 2.0 ** -K, dyadic, float(rng.random()), 0.3, 1.0, 1.5,
+                          *(np.nextafter(d, side) for d in (2.0 ** -K, dyadic, 0.5, 1.0)
+                            for side in (0, 1))):
                 got = delta_n(sh, x, y, n, delta)
                 assert type(got) is int
                 assert got == _delta_matching(sh, x, y, n, delta), (K, n, delta)
@@ -392,6 +395,9 @@ def test_delta_rejects_negative_threshold():
     for delta in (-0.2, float("nan")):
         with pytest.raises(ValueError):
             delta_n(rot, 0.0, 0.5, 10, delta)
+    # delta * Delta_n is not a number at delta = inf, where Delta_n is 0
+    assert delta_n(rot, 0.0, 0.5, 10, float("inf")) == 0
+    for delta in (-0.2, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             sandwich_check(rot, 0.0, 0.5, 10, delta)
 

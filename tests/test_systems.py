@@ -386,6 +386,13 @@ def test_parameter_validation():
         LogisticMap(r=4.5)
     with pytest.raises(ValueError):
         BinaryShift(horizon=0)
+    # bools are not numbers here, as in a system spec; numpy integers are counts
+    for make in (lambda: BinaryShift(True), lambda: BinaryShift(5.0),
+                 lambda: LogisticMap(True), lambda: LogisticMap(False),
+                 lambda: CircleRotation(False)):
+        with pytest.raises(ValueError):
+            make()
+    assert type(BinaryShift(np.int64(5)).horizon) is int
 
 
 def test_serialization_round_trip():
@@ -396,9 +403,15 @@ def test_serialization_round_trip():
         LogisticMap(r=3.9),
         BinaryShift(horizon=12),
         product_system(CircleRotation(alpha=0.25), BinaryShift()),
+        BinaryShift(1),
+        BinaryShift(np.int64(5)),
+        LogisticMap(4),
+        CircleRotation(0),
+        product_system(LogisticMap(), product_system(TentMap(), BinaryShift(3))),
     ]
     for system in samples:
         clone = system_from_json(system.to_json())
+        assert clone == system
         assert clone.to_dict() == system.to_dict()
     nested = json.loads(product_system(CircleRotation(alpha=0.25), BinaryShift()).to_json())
     assert nested["kind"] == "product"
