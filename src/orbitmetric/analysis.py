@@ -531,14 +531,15 @@ class Example31Config:
 
 def _distance_to_fixed_segment(meas: DiscreteMeasure, system: _systems.BinaryShift,
                                step: float) -> float:
-    """min over the alpha grid of the Prokhorov distance to
+    """min over the alpha grid k/m of the Prokhorov distance to
     alpha*delta(all zeros) + (1-alpha)*delta(all ones): one search over the
-    least deficiency across the grid, as the minima over alpha and t commute."""
+    least deficiency across the grid, as the minima over alpha and t commute,
+    in integer masses over N*m (counts*m against k*N and (m-k)*N)."""
     K, m = system.horizon, int(round(1.0 / step))
-    alpha = np.arange(m + 1) / m
-    surplus = _shift_deficiency(system, meas.atoms, meas.weights, [(0,) * K, (1,) * K],
-                                np.stack([alpha, 1.0 - alpha]))
-    return _breakpoint_search(np.ldexp(1.0, -np.arange(K)), lambda t: float(surplus(t).min()))
+    N, k = int(meas.counts.sum()), np.arange(m + 1)
+    surplus = _shift_deficiency(system, meas.atoms, meas.counts * m, [(0,) * K, (1,) * K],
+                                np.stack([k * N, (m - k) * N]))
+    return _breakpoint_search(np.ldexp(1.0, -np.arange(K)), lambda t: surplus(t).min() / (N * m))
 
 
 def example31_report(config: Example31Config = Example31Config()) -> DiagnosticReport:

@@ -9,10 +9,10 @@ monotone search over the thresholds (``_breakpoint_search``) on every
 geometry, and the geometry gives only its deficiency rule: the shift sums
 the surplus over the cylinders of its ultrametric (``_cylinder_surplus``),
 the line runs a greedy sweep (``_line_unsent``) and the circle and products
-a maximum flow.  The flow is scipy's integer max flow when both measures
-keep integer counts (empirical measures do), and a Python Dinic flow
-otherwise.  The Dinic flow and the subset enumeration ``prokhorov_oracle``
-check the other routes.
+a maximum flow (``_flow_unsent``), all in the mass unit ``_masses`` picks:
+integer counts when both measures keep them (empirical measures do), so the
+value is correctly rounded, and float weights with a Python Dinic flow
+otherwise.  The Dinic flow and ``prokhorov_oracle`` check the other routes.
 Delta_n of two length-n orbits is n times the deficiency of their
 empirical measures, and ``pseudometrics`` counts it with the same two rules.
 """
@@ -109,10 +109,6 @@ class DiscreteMeasure:
     def support_size(self) -> int:
         return len(self.atoms)
 
-    def to_dict(self) -> dict:
-        return {"atoms": [_atom_jsonable(a) for a in self.atoms],
-                "weights": [float(w) for w in self.weights]}
-
     def __repr__(self) -> str:
         return f"DiscreteMeasure({self.support_size} atoms)"
 
@@ -125,14 +121,6 @@ def _merge_atoms(atoms: list, masses: list) -> tuple[tuple, list]:
         merged[key] = merged.get(key, 0) + w
     order = sorted(merged)
     return tuple(order), [merged[a] for a in order]
-
-
-def _atom_jsonable(atom):
-    if isinstance(atom, tuple):
-        if all(isinstance(s, (int, np.integer)) for s in atom):
-            return "".join(str(int(s)) for s in atom)
-        return [_atom_jsonable(a) for a in atom]
-    return float(atom)
 
 
 @dataclass(frozen=True)
@@ -167,8 +155,7 @@ class Schedule:
     @classmethod
     def geometric(cls, max_n: int, ratio: float = 1.5, tail: int = 5) -> "Schedule":
         """Checkpoints round(ratio**k) up to max_n, tail at the last ``tail``."""
-        if not max_n >= 1:
-            raise ValueError("max_n must be at least 1")
+        (max_n,) = _systems._counts([max_n], "max_n")
         if not ratio > 1:
             raise ValueError("ratio must be greater than 1")
         (tail,) = _systems._counts([tail], "tail length")
@@ -230,13 +217,16 @@ def wasserstein1(mu: DiscreteMeasure, nu: DiscreteMeasure,
     pairs (see ``_w1_seed``) is solved with the HiGHS simplex through scipy,
     its duals u, v price every pair, each pair with reduced cost
     D[i, j] - u[i] - v[j] below -_W1_PRICE_TOL joins, and the loop repeats
-    until none does.  Lowering u by the largest remaining violation then
-    gives a feasible dual of the full LP whose value is within _W1_PRICE_TOL
-    of the restricted optimum (mu has mass one), so the value returned is
-    the full LP optimum to within 1e-12, beyond HiGHS's own tolerances.
-    No closed form is used.  HiGHS presolve is off: on a transportation
-    problem it removes only the one redundant balance row, and it made the
-    restricted solves 1.05 to 1.6 times slower.
+    until none does.  Pricing tests only the pairs outside the restricted
+    LP, so HiGHS runs with dual feasibility tolerance 1e-10, the least it
+    accepts: at its default 1e-7 a restricted solve could stop at a basis
+    1.1e-9 above the optimum.  On exit every reduced cost is then at least
+    -1e-10, and lowering u by the largest violation gives a feasible dual of
+    the full LP within 1e-10 of the value returned (mu has mass one), so
+    that value is the full LP optimum to within 1e-10, up to HiGHS's primal
+    feasibility tolerance.  No closed form is used.  HiGHS presolve is off:
+    on a transportation problem it removes only the one redundant balance
+    row, and it made the restricted solves 1.05 to 1.6 times slower.
     """
     D = system.pairwise_dist(mu.atoms, nu.atoms)
     m, n = D.shape
@@ -252,8 +242,8 @@ def wasserstein1(mu: DiscreteMeasure, nu: DiscreteMeasure,
         A = sparse.csc_array((np.ones(2 * len(rows)),
                               np.stack([rows, m + cols], axis=1).ravel(),
                               np.arange(0, 2 * len(rows) + 1, 2)), shape=(m + n, len(rows)))
-        res = linprog(D[rows, cols], A_eq=A, b_eq=b, bounds=(0, None),
-                      method="highs", options={"presolve": False})
+        res = linprog(D[rows, cols], A_eq=A, b_eq=b, bounds=(0, None), method="highs",
+                      options={"presolve": False, "dual_feasibility_tolerance": 1e-10})
         if not res.success:
             raise RuntimeError(f"transportation solve failed: {res.message}")
         y = res.eqlin.marginals
@@ -380,11 +370,11 @@ def prokhorov(mu: DiscreteMeasure, nu: DiscreteMeasure,
     inf { eps > 0 : mu(B) <= nu(B^eps) + eps for every B }, with the open
     eps-hull.  For eps just above a threshold t the worst deficiency
     sup_B (mu(B) - nu(B^eps)) is def(t), the mass of mu that a maximum flow
-    along the pairs at distance <= t leaves unsent (1 - maxflow), and the
-    distance is the least max(t, def(t)) over the thresholds t that are
-    pairwise support distances (0 included).  One monotone search over the
-    sorted thresholds (``_breakpoint_search``) finds it on every geometry,
-    and each geometry computes def(t) by its own rule:
+    along the pairs at distance <= t leaves unsent, and the distance is the
+    least max(t, def(t)) over the thresholds t that are pairwise support
+    distances (0 included).  One monotone search over the sorted thresholds
+    (``_breakpoint_search``) finds it on every geometry, and each geometry
+    computes the unsent mass by its own rule:
 
     * shift: the window metric is an ultrametric, so def(t) sums the surplus
       mass of mu over the cylinders of level ``BinaryShift._level`` of t
@@ -394,25 +384,36 @@ def prokhorov(mu: DiscreteMeasure, nu: DiscreteMeasure,
       value unchanged, so no distance matrix is built;
     * line: a greedy sweep over the sorted atoms of both measures
       (``_line_unsent``);
-    * circle and products: a max flow on the admissible pairs; scipy's
-      integer max flow over the two measures' counts scaled to their least
-      common total (see ``_counted_flow_deficiency``) when both keep counts
-      and that total fits its int32 capacities, Dinic's algorithm in Python
-      on the float weights otherwise.
+    * circle and products: a max flow on the admissible pairs (``_flow_unsent``).
+
+    Masses are in the unit of ``_masses``.  When both measures keep counts
+    with least common total below 2**31, every rule sums integers and def(t)
+    is one division, so the value is correctly rounded.
     """
+    wa, wb, total = _masses(mu, nu)
     if system.geometry == _systems.GEOMETRY_SHIFT:
-        surplus = _shift_deficiency(system, mu.atoms, mu.weights, nu.atoms, nu.weights[:, None])
-        return _breakpoint_search(np.ldexp(1.0, -np.arange(system.horizon)),
-                                  lambda t: float(surplus(t)[0]))
-    D = system.pairwise_dist(mu.atoms, nu.atoms)
-    if system.geometry == _systems.GEOMETRY_LINE:
-        sides = ([float(a) for a in mu.atoms], mu.weights.tolist(),
-                 [float(a) for a in nu.atoms], nu.weights.tolist())
-        return _breakpoint_search(D, lambda t: _line_unsent(*sides, t))
-    if (mu.counts is not None and nu.counts is not None
-            and math.lcm(int(mu.counts.sum()), int(nu.counts.sum())) < _INT_FLOW_LIMIT):
-        return _breakpoint_search(D, _counted_flow_deficiency(D, mu.counts, nu.counts))
-    return _breakpoint_search(D, _flow_deficiency(D, mu.weights, nu.weights))
+        D = np.ldexp(1.0, -np.arange(system.horizon))
+        surplus = _shift_deficiency(system, mu.atoms, wa, nu.atoms, wb[:, None])
+        unsent = lambda t: surplus(t)[0]
+    elif system.geometry == _systems.GEOMETRY_LINE:
+        D = system.pairwise_dist(mu.atoms, nu.atoms)
+        sides = (list(map(float, mu.atoms)), wa.tolist(), list(map(float, nu.atoms)), wb.tolist())
+        unsent = lambda t: _line_unsent(*sides, t)
+    else:
+        D = system.pairwise_dist(mu.atoms, nu.atoms)
+        unsent = _flow_unsent(D, wa, wb, total)
+    return _breakpoint_search(D, lambda t: unsent(t) / total)
+
+
+def _masses(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray, int]:
+    """The masses of mu and nu in one unit, and their common total: the
+    counts scaled to L = lcm of their totals when both keep counts and L is
+    below _INT_FLOW_LIMIT, else the float weights with total 1."""
+    if mu.counts is not None and nu.counts is not None:
+        na, nb = int(mu.counts.sum()), int(nu.counts.sum())
+        if (total := math.lcm(na, nb)) < _INT_FLOW_LIMIT:
+            return mu.counts * (total // na), nu.counts * (total // nb), total
+    return mu.weights, nu.weights, 1
 
 
 def _breakpoint_search(D: np.ndarray, deficiency) -> float:
@@ -426,7 +427,7 @@ def _breakpoint_search(D: np.ndarray, deficiency) -> float:
 
     def deficiency_at(k: int) -> float:
         if k not in deficiency_cache:
-            deficiency_cache[k] = deficiency(lefts[k])
+            deficiency_cache[k] = float(deficiency(lefts[k]))
         return deficiency_cache[k]
 
     def feasible(k: int) -> bool:
@@ -453,51 +454,39 @@ def _breakpoint_search(D: np.ndarray, deficiency) -> float:
     return max(float(lefts[k0]), deficiency_at(k0), 0.0)
 
 
-def _flow_deficiency(D: np.ndarray, wa: np.ndarray, wb: np.ndarray):
-    """t -> 1 - maxflow along the pairs with D <= t, by Dinic's algorithm."""
-    def deficiency(t: float) -> float:
-        rows, cols = np.nonzero(D <= t)
-        return 1.0 - _max_flow_bipartite(wa, wb, rows, cols)
-    return deficiency
+def _flow_unsent(D: np.ndarray, wa: np.ndarray, wb: np.ndarray, total):
+    """t -> total - maxflow from supplies ``wa`` to demands ``wb`` along the
+    pairs with D <= t: the mass of ``wa`` that the flow leaves unsent.
 
-
-def _counted_flow_deficiency(D: np.ndarray, ca: np.ndarray, cb: np.ndarray):
-    """t -> 1 - maxflow along the pairs with D <= t, exactly, from integer
-    counts, by scipy's max flow.
-
-    With L the least common multiple of the two totals, supplies are
-    ca * L / sum(ca), demands cb * L / sum(cb) and each admissible pair an
-    arc of capacity L, so the flow is an integer and def(t) = (L - flow) / L.
-    The caller keeps L below 2**31, the int32 capacities scipy works in.
+    Integer masses (total below 2**31, the int32 capacities scipy works in)
+    run scipy's max flow, each admissible pair an arc of capacity ``total``,
+    so the flow is exact; float weights (total 1) run Dinic's algorithm.
     """
+    if wa.dtype.kind == "f":
+        return lambda t: total - _max_flow_bipartite(wa, wb, *np.nonzero(D <= t))
     m, n = D.shape
-    total = math.lcm(int(ca.sum()), int(cb.sum()))
-    supply = ca * (total // int(ca.sum()))
-    demand = cb * (total // int(cb.sum()))
     sink = m + n + 1
     # node 0 is the source, 1..m the atoms of mu, m+1..m+n those of nu
-    source_arcs = 1 + np.arange(m)
-    sink_arcs = np.full(n, sink)
 
-    def deficiency(t: float) -> float:
+    def unsent(t: float) -> int:
         rows, cols = np.nonzero(D <= t)
         degrees = np.concatenate([[m], np.bincount(rows, minlength=m), np.ones(n, int), [0]])
         indptr = np.concatenate([[0], np.cumsum(degrees)])
-        indices = np.concatenate([source_arcs, 1 + m + cols, sink_arcs])
-        caps = np.concatenate([supply, np.full(len(rows), total), demand])
+        indices = np.concatenate([1 + np.arange(m), 1 + m + cols, np.full(n, sink)])
+        caps = np.concatenate([wa, np.full(len(rows), total), wb])
         graph = sparse.csr_array((caps.astype(np.int32), indices.astype(np.int32),
                                   indptr.astype(np.int32)), shape=(sink + 1, sink + 1))
-        return (total - maximum_flow(graph, 0, sink).flow_value) / total
-    return deficiency
+        return total - maximum_flow(graph, 0, sink).flow_value
+    return unsent
 
 
 def _shift_deficiency(system: _systems.BinaryShift, atoms_a, wa: np.ndarray,
                       atoms_b, wb: np.ndarray):
-    """t -> def(t) of mu (``atoms_a``, weights ``wa``) against each nu on
-    ``atoms_b`` whose weights are a column of ``wb``, as an array.
+    """t -> the mass of mu (``atoms_a``, masses ``wa``) left unsent to each
+    nu on ``atoms_b`` whose masses are a column of ``wb``, as an array.
 
     The pairs within t join each cylinder of level ``system._level`` of t to
-    itself, so def(t) = sum over those cylinders C of (mu(C) - nu(C))+.
+    itself, so that mass is the sum over those cylinders C of (mu(C) - nu(C))+.
     """
     order, split = _cylinder_order(np.concatenate([system._states(atoms_a),
                                                    system._states(atoms_b)]))

@@ -102,7 +102,7 @@ def _check_prokhorov(rng: np.random.Generator) -> str | None:
     nu = measures.empirical_measure(rot.orbit_segment(0.1, 200))
     D = rot.pairwise_dist(mu.atoms, nu.atoms)
     dinic = measures._breakpoint_search(
-        D, measures._flow_deficiency(D, mu.weights, nu.weights))
+        D, measures._flow_unsent(D, mu.weights, nu.weights, 1))
     gap = abs(measures.prokhorov(mu, nu, rot) - dinic)
     if gap > 1e-12:
         return f"counted circle flow vs Dinic off by {gap:.2e}"

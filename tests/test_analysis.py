@@ -151,6 +151,15 @@ def test_empirical_equicontinuity_shift_near_pair():
     assert rep.verdict == VERDICT_VIOLATED
 
 
+def test_empirical_equicontinuity_reads_tied_shift_levels_exactly():
+    # both rows equal 13/50 exactly; summed as float weights they read
+    # 0.2600000000000001 and 0.26000000000000006
+    rep = empirical_equicontinuity(BinaryShift(), 0.03125, 3, (10, 50, 200), seed=5)
+    tied = [(r["pair"], r["n"], r["rho"]) for r in rep.observations
+            if abs(r["rho"] - 0.26) < 1e-9]
+    assert tied == [(1, 200, 0.26), (3, 50, 0.26)]
+
+
 # ------------------------------------------------------ unique ergodicity
 
 def test_unique_ergodicity_rotation_consistent():
@@ -371,7 +380,8 @@ def test_distance_to_fixed_segment_is_least_prokhorov_over_the_grid():
         for label in ("U", "V"):
             x = build_example31_point(label, config.block_rule, blocks)
             meas = empirical_measure(system.orbit_segment(x, sum(config.lengths())))
-            want = min(prokhorov(meas, DiscreteMeasure(ends, [i / 100, 1.0 - i / 100]),
+            # counted mixtures: float weights i / 100 are themselves inexact
+            want = min(prokhorov(meas, DiscreteMeasure.from_counts(ends, [i, 100 - i]),
                                  system) for i in range(101))
             assert _distance_to_fixed_segment(meas, system, 0.01) == want, (blocks, label)
 

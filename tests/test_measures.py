@@ -123,8 +123,11 @@ def test_schedule_rejects_non_integer_checkpoints():
             Schedule(cps)
     with pytest.raises(ValueError, match="integers"):
         Schedule((1, 2, 3), tail_start=1.5)
-    with pytest.raises(ValueError, match="integers"):
-        Schedule.geometric(10.5)
+    # a bool is no count, 1e3 no integer, and inf ran the checkpoint loop
+    # into an OverflowError
+    for max_n in (10.5, True, 1e3, float("inf")):
+        with pytest.raises(ValueError, match="max_n must be an integer"):
+            Schedule.geometric(max_n)
     for tail in (True, 2.5, 0):
         with pytest.raises(ValueError, match="tail length must be an integer"):
             Schedule.geometric(20, tail=tail)
@@ -357,6 +360,16 @@ def test_w1_pricing_adds_the_pairs_the_seed_misses(monkeypatch):
         assert abs(w1 - wasserstein1_fast_1d(mu, nu, GEOMETRY_CIRCLE)) <= 1e-12
 
 
+def test_w1_lp_reaches_the_optimum_where_the_default_dual_tolerance_stops_short():
+    # at HiGHS's default dual feasibility tolerance (1e-7) the restricted LP
+    # of this pair stopped at a basis 1.1e-9 above the optimum
+    logistic = LogisticMap(3.9)
+    mu, nu = (empirical_measure(logistic.orbit_segment(x, 143))
+              for x in (0.5710784961645261, 0.2834976840119148))
+    assert abs(wasserstein1(mu, nu, logistic)
+               - wasserstein1_fast_1d(mu, nu, GEOMETRY_LINE)) <= 1e-12
+
+
 def test_w1_prokhorov_comparison_bounds():
     # rho^2 <= W1 <= (1 + diam) * rho on a bounded space
     rng = np.random.default_rng(23)
@@ -411,6 +424,41 @@ def test_prokhorov_symmetrized_by_construction():
             prokhorov(nu, mu, tent), abs=PROKHOROV_TOL)
 
 
+def _exact_prokhorov(mu, nu, system):
+    """Prokhorov of two counted measures in rationals: the subsets of mu's
+    support enumerated as ``prokhorov_oracle`` does, with masses
+    Fraction(count, total)."""
+    D = system.pairwise_dist(mu.atoms, nu.atoms)
+    wa = [Fraction(int(c), int(mu.counts.sum())) for c in mu.counts]
+    wb = [Fraction(int(c), int(nu.counts.sum())) for c in nu.counts]
+    best = Fraction(0)
+    for size in range(1, len(wa) + 1):
+        for subset in itertools.combinations(range(len(wa)), size):
+            mass, dj = sum(wa[i] for i in subset), D[list(subset)].min(axis=0).tolist()
+            lefts = sorted(set(dj) | {0.0}) + [float("inf")]
+            for left, right in zip(lefts, lefts[1:]):
+                need = mass - sum(w for w, d in zip(wb, dj) if d <= left)
+                if need <= right:
+                    best = max(best, Fraction(left), need)
+                    break
+    return best
+
+
+def test_counted_prokhorov_is_the_exact_value_correctly_rounded():
+    # counts scaled to their least common total make every deficiency rule
+    # sum integers, so one division gives the exact rational rounded once
+    rng = np.random.default_rng(3)
+    systems = (LogisticMap(4.0), TentMap(), BinaryShift(3), BinaryShift(4),
+               CircleRotation(0.3))
+    for _ in range(12):
+        for system in systems:
+            mu, nu = (DiscreteMeasure.from_counts(atoms, rng.integers(1, 40, len(atoms)))
+                      for atoms in (empirical_measure(system.orbit_segment(
+                          sample_point(system, rng), int(rng.integers(1, 11)))).atoms
+                          for _ in range(2)))
+            assert prokhorov(mu, nu, system) == float(_exact_prokhorov(mu, nu, system))
+
+
 def test_prokhorov_oracle_support_guard():
     atoms = list(np.linspace(0, 1, 13))
     mu = DiscreteMeasure(atoms, [1 / 13] * 13)
@@ -423,7 +471,7 @@ def _flow_prokhorov(mu, nu, system):
     every other route."""
     D = system.pairwise_dist(mu.atoms, nu.atoms)
     return measures._breakpoint_search(
-        D, measures._flow_deficiency(D, mu.weights, nu.weights))
+        D, measures._flow_unsent(D, mu.weights, nu.weights, 1))
 
 
 def _route_cases(rng):
