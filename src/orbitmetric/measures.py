@@ -15,6 +15,8 @@ value is correctly rounded, and float weights with a Python Dinic flow
 otherwise.  The Dinic flow and ``prokhorov_oracle`` check the other routes.
 Delta_n of two length-n orbits is n times the deficiency of their
 empirical measures, and ``pseudometrics`` counts it with the same two rules.
+Distances read atoms only through ``DiscreteMeasure.states``, validated once
+per system; empirical measures start with their orbit's states.
 """
 from __future__ import annotations
 
@@ -56,14 +58,17 @@ class DiscreteMeasure:
     """Finitely supported probability measure.
 
     Atoms are kept sorted and pairwise distinct (exactly equal atoms are
-    merged on construction); weights are non-negative and sum to one within
-    WEIGHT_SUM_TOL.  A measure built by ``from_counts`` also keeps its
-    integer ``counts``, with weights = counts / counts.sum(); one built from
-    float weights has ``counts = None``.  Instances are immutable by
-    convention.
+    merged on construction), so they must be hashable and mutually
+    orderable: numbers, tuples of symbols for shift windows, or pairs of
+    those; weights are non-negative and sum to one within WEIGHT_SUM_TOL.  A
+    measure built by ``from_counts`` also keeps its integer ``counts``, with
+    weights = counts / counts.sum(); one built from float weights has
+    ``counts = None``.  Instances are immutable by convention.  ``states``
+    validates atoms once per system; empirical measures begin with their
+    orbit's states.
     """
 
-    __slots__ = ("atoms", "weights", "counts")
+    __slots__ = ("atoms", "weights", "counts", "_kept")
 
     def __init__(self, atoms, weights) -> None:
         weights = np.asarray(weights, dtype=np.float64)
@@ -80,7 +85,7 @@ class DiscreteMeasure:
             raise ValueError("weights must sum to 1")
         self.atoms, merged = _merge_atoms(atoms, weights.tolist())
         self.weights = np.asarray(merged, dtype=np.float64)
-        self.counts = None
+        self.counts = self._kept = None
 
     @classmethod
     def from_counts(cls, atoms, counts) -> "DiscreteMeasure":
@@ -99,6 +104,7 @@ class DiscreteMeasure:
         self.atoms, merged = _merge_atoms(atoms, counts.tolist())
         self.counts = np.asarray(merged, dtype=np.int64)
         self.weights = self.counts / self.counts.sum()
+        self._kept = None
         return self
 
     @classmethod
@@ -109,6 +115,12 @@ class DiscreteMeasure:
     def support_size(self) -> int:
         return len(self.atoms)
 
+    def states(self, system: _systems.System):
+        """The atoms as the state array of ``system._kernel``, kept per equal system."""
+        if self._kept is None or self._kept[0] != system:
+            self._kept = (system, system._states(self.atoms))
+        return self._kept[1]
+
     def __repr__(self) -> str:
         return f"DiscreteMeasure({self.support_size} atoms)"
 
@@ -116,10 +128,14 @@ class DiscreteMeasure:
 def _merge_atoms(atoms: list, masses: list) -> tuple[tuple, list]:
     """Sorted distinct atoms and the summed masses of equal ones."""
     merged: dict = {}
-    for a, w in zip(atoms, masses):
-        key = float(a) if isinstance(a, (int, float, np.floating)) else a
-        merged[key] = merged.get(key, 0) + w
-    order = sorted(merged)
+    try:
+        for a, w in zip(atoms, masses):
+            key = float(a) if isinstance(a, (int, float, np.floating)) else a
+            merged[key] = merged.get(key, 0) + w
+        order = sorted(merged)
+    except TypeError:
+        raise ValueError("atoms must be hashable and mutually orderable "
+                         "(tuples for symbol windows)") from None
     return tuple(order), [merged[a] for a in order]
 
 
@@ -156,17 +172,15 @@ class Schedule:
     def geometric(cls, max_n: int, ratio: float = 1.5, tail: int = 5) -> "Schedule":
         """Checkpoints round(ratio**k) up to max_n, tail at the last ``tail``."""
         (max_n,) = _systems._counts([max_n], "max_n")
-        if not ratio > 1:
-            raise ValueError("ratio must be greater than 1")
+        if not (ratio > 1 and math.isfinite(ratio)):
+            raise ValueError("ratio must be finite and greater than 1")
         (tail,) = _systems._counts([tail], "tail length")
         vals = set()
         k = 0
-        while True:
-            v = round(ratio ** k)
-            if v > max_n:
-                break
-            vals.add(max(1, v))
-            k += 1
+        while (v := round(ratio ** k)) <= max_n:
+            vals.add(v)
+            # every exponent up to the last with ratio**k <= v + 0.5 repeats v
+            k = max(k + 1, math.floor(math.log(v + 0.5) / math.log(ratio)))
         vals.add(max_n)
         cps = tuple(sorted(vals))
         return cls(cps, max(0, len(cps) - tail))
@@ -188,19 +202,21 @@ def empirical_measure(seg: _systems.OrbitSegment) -> DiscreteMeasure:
     """
     system = seg.system
     n = seg.length
-    if system.geometry == _systems.GEOMETRY_SHIFT:
-        windows = system._view(seg)
-        order, split = _cylinder_order(windows)
-        starts = np.flatnonzero(np.concatenate([[True], split < system.horizon]))
-        return DiscreteMeasure.from_counts(map(tuple, windows[order[starts]].tolist()),
-                                           np.diff(starts, append=n))
     if system.geometry == _systems.GEOMETRY_PRODUCT:
         counts = Counter(seg.point(k) for k in range(n))
         atoms = sorted(counts)
         return DiscreteMeasure.from_counts(atoms, [counts[a] for a in atoms])
-    values, counts = np.unique(np.asarray(seg.data, dtype=np.float64),
-                               return_counts=True)
-    return DiscreteMeasure.from_counts([float(v) for v in values], counts)
+    if system.geometry == _systems.GEOMETRY_SHIFT:
+        windows = system._view(seg)
+        order, split = _cylinder_order(windows)
+        starts = np.flatnonzero(np.concatenate([[True], split < system.horizon]))
+        states = windows[order[starts]]
+        meas = DiscreteMeasure.from_counts(map(tuple, states.tolist()), np.diff(starts, append=n))
+    else:
+        states, counts = np.unique(np.asarray(seg.data, dtype=np.float64), return_counts=True)
+        meas = DiscreteMeasure.from_counts(states.tolist(), counts)
+    meas._kept = (system, states)  # the orbit's own states, in atom order, need no check
+    return meas
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +244,7 @@ def wasserstein1(mu: DiscreteMeasure, nu: DiscreteMeasure,
     on a transportation problem it removes only the one redundant balance
     row, and it made the restricted solves 1.05 to 1.6 times slower.
     """
-    D = system.pairwise_dist(mu.atoms, nu.atoms)
+    D = system._kernel_matrix(mu.states(system), nu.states(system))
     m, n = D.shape
     if m == 1:
         return float(D[0] @ nu.weights)
@@ -391,16 +407,17 @@ def prokhorov(mu: DiscreteMeasure, nu: DiscreteMeasure,
     is one division, so the value is correctly rounded.
     """
     wa, wb, total = _masses(mu, nu)
+    sa, sb = mu.states(system), nu.states(system)
     if system.geometry == _systems.GEOMETRY_SHIFT:
         D = np.ldexp(1.0, -np.arange(system.horizon))
-        surplus = _shift_deficiency(system, mu.atoms, wa, nu.atoms, wb[:, None])
+        surplus = _shift_deficiency(system, sa, wa, sb, wb[:, None])
         unsent = lambda t: surplus(t)[0]
     elif system.geometry == _systems.GEOMETRY_LINE:
-        D = system.pairwise_dist(mu.atoms, nu.atoms)
-        sides = (list(map(float, mu.atoms)), wa.tolist(), list(map(float, nu.atoms)), wb.tolist())
+        D = system._kernel_matrix(sa, sb)
+        sides = (sa.tolist(), wa.tolist(), sb.tolist(), wb.tolist())
         unsent = lambda t: _line_unsent(*sides, t)
     else:
-        D = system.pairwise_dist(mu.atoms, nu.atoms)
+        D = system._kernel_matrix(sa, sb)
         unsent = _flow_unsent(D, wa, wb, total)
     return _breakpoint_search(D, lambda t: unsent(t) / total)
 
@@ -480,16 +497,15 @@ def _flow_unsent(D: np.ndarray, wa: np.ndarray, wb: np.ndarray, total):
     return unsent
 
 
-def _shift_deficiency(system: _systems.BinaryShift, atoms_a, wa: np.ndarray,
-                      atoms_b, wb: np.ndarray):
-    """t -> the mass of mu (``atoms_a``, masses ``wa``) left unsent to each
-    nu on ``atoms_b`` whose masses are a column of ``wb``, as an array.
+def _shift_deficiency(system: _systems.BinaryShift, sa: np.ndarray, wa: np.ndarray,
+                      sb: np.ndarray, wb: np.ndarray):
+    """t -> the mass of mu (windows ``sa``, masses ``wa``) left unsent to each
+    nu on the windows ``sb`` whose masses are a column of ``wb``, as an array.
 
     The pairs within t join each cylinder of level ``system._level`` of t to
     itself, so that mass is the sum over those cylinders C of (mu(C) - nu(C))+.
     """
-    order, split = _cylinder_order(np.concatenate([system._states(atoms_a),
-                                                   system._states(atoms_b)]))
+    order, split = _cylinder_order(np.concatenate([sa, sb]))
     # one row per measure: a row sums pairwise as a 1-d array does; a column would not
     mass = block_diag(wa, wb.T)[:, order]
     return lambda t: _cylinder_surplus(mass, split, system._level(t, system.horizon))

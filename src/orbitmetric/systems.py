@@ -15,11 +15,12 @@ circle, stacks of horizon-length symbol windows on the shift, and pairs of
 factor states on products.  ``System.dist``, ``pairwise_dist``,
 ``cost_matrix`` and ``aligned_distances`` are thin calls to it.  Atoms from
 outside reach the kernel through one validator per geometry, ``_states``, so
-``dist`` and ``pairwise_dist`` share one domain rule: the circle takes
-points of [0, 1), the line points of [0, 1], the shift windows of at least
-``horizon`` symbols (a shorter finite window raises
+``dist``, ``pairwise_dist`` and the measures share one domain rule: the
+circle takes points of [0, 1), the line points of [0, 1], the shift windows
+of at least ``horizon`` symbols (a shorter finite window raises
 ``InsufficientTailError``), and a product pairs of factor atoms.  Anything
-else raises ``ValueError``.
+else raises ``ValueError``.  Measures validate their atoms once per system
+(``DiscreteMeasure.states``); empirical ones start with their orbit's states.
 
 Orbit states are generated as exactly as double precision permits.  A
 rotation state is (x + k*alpha) mod 1 computed exactly over the common
@@ -288,8 +289,7 @@ class System:
         Each geometry binds this in its own class body, so that it can be
         timed per geometry.
         """
-        return self._kernel(_outer(self._states(atoms_a), 1),
-                            _outer(self._states(atoms_b), 0))
+        return self._kernel_matrix(self._states(atoms_a), self._states(atoms_b))
 
     def to_dict(self) -> dict:
         raise NotImplementedError
@@ -301,6 +301,10 @@ class System:
     def _kernel(self, a, b) -> np.ndarray:
         """Distances between two broadcastable state arrays."""
         raise NotImplementedError
+
+    def _kernel_matrix(self, a, b) -> np.ndarray:
+        """Distances from each state of ``a`` (rows) to each of ``b`` (columns)."""
+        return self._kernel(_outer(a, 1), _outer(b, 0))
 
     def _states(self, atoms):
         """Validate a sequence of atoms into the state array of ``_kernel``."""
@@ -636,8 +640,7 @@ def cost_matrix(seg_x: OrbitSegment, seg_y: OrbitSegment) -> CostMatrix:
     if seg_x.length != seg_y.length:
         raise ValueError("orbit segments must have equal length")
     system = seg_x.system
-    return CostMatrix(system._kernel(_outer(system._view(seg_x), 1),
-                                     _outer(system._view(seg_y), 0)))
+    return CostMatrix(system._kernel_matrix(system._view(seg_x), system._view(seg_y)))
 
 
 def aligned_distances(system: System, seg_x: OrbitSegment, seg_y: OrbitSegment) -> np.ndarray:

@@ -10,6 +10,7 @@ from orbitmetric import (
     CircleRotation,
     DiscreteMeasure,
     DoublingMap,
+    Example31Config,
     InsufficientTailError,
     LogisticMap,
     MeasureSet,
@@ -19,8 +20,10 @@ from orbitmetric import (
     SizeLimitError,
     delta_n,
     empirical_measure,
+    example31_report,
     hausdorff_measures,
     min_cost_assignment,
+    omega_distance,
     omega_hat_estimate,
     prokhorov,
     prokhorov_oracle,
@@ -71,6 +74,21 @@ def test_discrete_measure_validation():
                           ([0.0, 0.5], [2, -1]), ([0.0], [0])):
         with pytest.raises(ValueError):
             DiscreteMeasure.from_counts(atoms, counts)
+
+
+@pytest.mark.parametrize("atoms", [
+    [[0, 1, 1], [1, 0, 0]],
+    [np.array([0, 1, 1]), np.array([1, 0, 0])],
+    [ShiftPoint.zeros(), ShiftPoint.ones()],
+    [0.1, (0, 1)],
+])
+def test_discrete_measure_rejects_atoms_that_cannot_be_merged(atoms):
+    # atoms are merged by hashing and kept sorted; lists and arrays are not
+    # hashable, and ShiftPoints or a number and a tuple do not compare
+    for build in (lambda: DiscreteMeasure(atoms, [0.5, 0.5]),
+                  lambda: DiscreteMeasure.from_counts(atoms, [1, 1])):
+        with pytest.raises(ValueError, match="hashable and mutually orderable"):
+            build()
 
 
 def test_discrete_measure_rejects_non_finite_weights():
@@ -141,6 +159,95 @@ def test_schedule_geometric_needs_growing_ratio():
         with pytest.raises(ValueError, match="ratio"):
             Schedule.geometric(10, ratio)
     assert Schedule.geometric(10, 2.0).checkpoints == (1, 2, 4, 8, 10)
+    # round(inf) raised OverflowError at the second checkpoint
+    with pytest.raises(ValueError, match="ratio"):
+        Schedule.geometric(10, float("inf"))
+
+
+def _plain_geometric(max_n, ratio):
+    vals, k = {max_n}, 0
+    while round(ratio ** k) <= max_n:
+        vals.add(round(ratio ** k))
+        k += 1
+    return tuple(sorted(vals))
+
+
+def test_schedule_geometric_skips_only_repeated_exponents():
+    for ratio in (1.0001, 1.01, 1.5, 2, 1e6):
+        for max_n in (1, 2, 7, 100, 999, 4096, 10**5):
+            assert Schedule.geometric(max_n, ratio).checkpoints == _plain_geometric(max_n, ratio)
+    # one exponent per new checkpoint: the plain loop takes about 1e16 steps here
+    assert Schedule.geometric(10**4, 1 + 1e-15).checkpoints == tuple(range(1, 10**4 + 1))
+
+
+# ----------------------------------------------------------- kept states
+
+_STATE_SYSTEMS = [
+    (LogisticMap(4.0), lambda rng: float(rng.random())),
+    (TentMap(), lambda rng: float(rng.random())),
+    (CircleRotation(0.1234), lambda rng: float(rng.random())),
+    *[(BinaryShift(k), lambda rng: ShiftPoint(tuple(rng.integers(0, 2, 40).tolist()), (0, 1)))
+      for k in (1, 3, 30)],
+    (ProductSystem(CircleRotation(0.3), LogisticMap(4.0)),
+     lambda rng: (float(rng.random()), float(rng.random()))),
+    (ProductSystem(CircleRotation(0.3), BinaryShift(5)),
+     lambda rng: (float(rng.random()), ShiftPoint(tuple(rng.integers(0, 2, 9).tolist()), (1,)))),
+]
+
+
+@pytest.mark.parametrize("system, point", _STATE_SYSTEMS, ids=[
+    "logistic", "tent", "circle", "shift1", "shift3", "shift30", "circle-logistic", "circle-shift"])
+def test_kept_states_equal_the_validated_atoms(system, point):
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 3, 8, 31, 100, 300):
+        meas = empirical_measure(system.orbit_segment(point(rng), n))
+        kept, checked = meas.states(system), system._states(meas.atoms)
+        assert len(meas.counts) == meas.support_size
+        for a, b in zip(kept, checked) if isinstance(kept, tuple) else [(kept, checked)]:
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert np.array_equal(a, b)
+
+
+def test_kept_states_serve_an_equal_system_and_not_another():
+    rng = np.random.default_rng(23)
+    fine, coarse = BinaryShift(30), BinaryShift(3)
+    for _ in range(50):
+        x, y = (ShiftPoint(tuple(rng.integers(0, 2, 50).tolist()), (0, 1, 1)) for _ in "xy")
+        n, m = (int(v) for v in rng.integers(1, 200, 2))
+        on_fine = prokhorov(empirical_measure(fine.orbit_segment(x, n)),
+                            empirical_measure(fine.orbit_segment(y, m)), coarse)
+        on_coarse = prokhorov(empirical_measure(coarse.orbit_segment(x, n)),
+                              empirical_measure(coarse.orbit_segment(y, m)), coarse)
+        assert on_fine == on_coarse
+    # the logistic orbit of 1/2 visits 1.0, a line point the circle does not take
+    mu = empirical_measure(LogisticMap(4.0).orbit_segment(0.5, 3))
+    nu = empirical_measure(CircleRotation(0.25).orbit_segment(0.0, 4))
+    assert 1.0 in mu.atoms
+    for a, b in ((mu, nu), (nu, mu)):
+        with pytest.raises(ValueError):
+            prokhorov(a, b, CircleRotation(0.25))
+
+
+@pytest.mark.parametrize("system, x, y", [
+    (BinaryShift(30), ShiftPoint((0, 1, 1, 0, 1), (0, 1)), ShiftPoint((1, 1, 0), (1, 0, 0))),
+    (LogisticMap(4.0), 0.1234, 0.4321),
+    (CircleRotation(0.3), 0.1, 0.45),
+])
+def test_empirical_measures_reach_the_kernel_without_validation(monkeypatch, system, x, y):
+    def no_round_trip(self, atoms):
+        raise AssertionError("empirical atoms were converted back to states")
+
+    monkeypatch.setattr(type(system), "_states", no_round_trip)
+    mu = empirical_measure(system.orbit_segment(x, 120))
+    nu = empirical_measure(system.orbit_segment(y, 90))
+    assert 0 < prokhorov(mu, nu, system) <= 1
+    assert 0 < wasserstein1(mu, nu, system) <= 1
+    schedule = Schedule.geometric(200)
+    assert hausdorff_measures(omega_hat_estimate(system, x, schedule),
+                              omega_hat_estimate(system, y, schedule), system) >= 0
+    assert omega_distance(system, x, y, schedule).observations[0]["rho_hausdorff"] >= 0
+    if system.geometry == "shift":
+        assert example31_report(Example31Config(n_blocks=5)).verdict == "consistent"
 
 
 # ------------------------------------------------------------ wasserstein
