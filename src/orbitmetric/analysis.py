@@ -537,9 +537,10 @@ def _distance_to_fixed_segment(meas: DiscreteMeasure, system: _systems.BinaryShi
     in integer masses over N*m (counts*m against k*N and (m-k)*N)."""
     K, m = system.horizon, int(round(1.0 / step))
     N, k = int(meas.counts.sum()), np.arange(m + 1)
-    surplus = _shift_deficiency(system, meas.states(system), meas.counts * m,
-                                np.uint8([[0] * K, [1] * K]), np.stack([k * N, (m - k) * N]))
-    return _breakpoint_search(np.ldexp(1.0, -np.arange(K)), lambda t: surplus(t).min() / (N * m))
+    levels, surplus = _shift_deficiency(system, meas.states(system), meas.counts * m,
+                                        np.uint8([[0] * K, [1] * K]),
+                                        np.stack([k * N, (m - k) * N]))
+    return _breakpoint_search(levels, lambda t: surplus(t).min() / (N * m))
 
 
 def example31_report(config: Example31Config = Example31Config()) -> DiagnosticReport:

@@ -13,6 +13,8 @@ a maximum flow (``_flow_unsent``), all in the mass unit ``_masses`` picks:
 integer counts when both measures keep them (empirical measures do), so the
 value is correctly rounded, and float weights with a Python Dinic flow
 otherwise.  The Dinic flow and ``prokhorov_oracle`` check the other routes.
+``_deficiency`` is the one geometry dispatch; def changes only at support
+distances, so ``omega_hat_estimate`` tests rho <= c as def(c) <= c, no search.
 Delta_n of two length-n orbits is n times the deficiency of their
 empirical measures, and ``pseudometrics`` counts it with the same two rules.
 Distances read atoms only through ``DiscreteMeasure.states``, validated once
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import block_diag
 from scipy.optimize import linprog
 from scipy.sparse.csgraph import maximum_flow
 
@@ -406,20 +407,23 @@ def prokhorov(mu: DiscreteMeasure, nu: DiscreteMeasure,
     with least common total below 2**31, every rule sums integers and def(t)
     is one division, so the value is correctly rounded.
     """
+    return _breakpoint_search(*_deficiency(mu, nu, system))
+
+
+def _deficiency(mu: DiscreteMeasure, nu: DiscreteMeasure, system: _systems.System):
+    """The thresholds of the Prokhorov search for mu against nu and its rule
+    t -> def(t), the share of mu's mass unsent along the pairs within t; def
+    changes only at the thresholds, so prokhorov(...) <= c iff def(c) <= c."""
     wa, wb, total = _masses(mu, nu)
     sa, sb = mu.states(system), nu.states(system)
     if system.geometry == _systems.GEOMETRY_SHIFT:
-        D = np.ldexp(1.0, -np.arange(system.horizon))
-        surplus = _shift_deficiency(system, sa, wa, sb, wb[:, None])
-        unsent = lambda t: surplus(t)[0]
-    elif system.geometry == _systems.GEOMETRY_LINE:
-        D = system._kernel_matrix(sa, sb)
+        levels, surplus = _shift_deficiency(system, sa, wa, sb, wb[:, None])
+        return levels, lambda t: surplus(t)[0] / total
+    D = system._kernel_matrix(sa, sb)
+    if system.geometry == _systems.GEOMETRY_LINE:
         sides = (sa.tolist(), wa.tolist(), sb.tolist(), wb.tolist())
-        unsent = lambda t: _line_unsent(*sides, t)
-    else:
-        D = system._kernel_matrix(sa, sb)
-        unsent = _flow_unsent(D, wa, wb, total)
-    return _breakpoint_search(D, lambda t: unsent(t) / total)
+        return D, lambda t: _line_unsent(*sides, t) / total
+    return D, _flow_unsent(D, wa, wb, total)
 
 
 def _masses(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray, int]:
@@ -438,42 +442,29 @@ def _breakpoint_search(D: np.ndarray, deficiency) -> float:
 
     ``deficiency`` must be non-increasing in t."""
     lefts = np.unique(np.concatenate([[0.0], D.ravel()]))
-    n_iv = len(lefts)
-
-    deficiency_cache: dict[int, float] = {}
-
-    def deficiency_at(k: int) -> float:
-        if k not in deficiency_cache:
-            deficiency_cache[k] = float(deficiency(lefts[k]))
-        return deficiency_cache[k]
-
-    def feasible(k: int) -> bool:
-        right = lefts[k + 1] if k + 1 < n_iv else np.inf
-        return deficiency_at(k) <= right
-
-    # deficiency is non-increasing and interval right ends increase, so the
-    # feasible intervals form a suffix; find its first index
-    if feasible(0):
-        k0 = 0
-    else:
-        lo, hi = 0, 1
-        while hi < n_iv - 1 and not feasible(hi):
-            lo = hi
-            hi = min(2 * hi, n_iv - 1)
-        # invariant: feasible(hi) (the last interval always is), not feasible(lo)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if feasible(mid):
-                hi = mid
-            else:
-                lo = mid
-        k0 = hi
-    return max(float(lefts[k0]), deficiency_at(k0), 0.0)
+    last = len(lefts) - 1
+    # deficiency is non-increasing and the right ends lefts[k + 1] increase, so
+    # the feasible intervals, deficiency(lefts[k]) <= lefts[k + 1], form a suffix
+    # with the last; gallop, then bisect, for its first index hi, d once probed
+    lo, hi, d = -1, 0, None
+    while hi < last:
+        d = float(deficiency(lefts[hi]))
+        if d <= lefts[hi + 1]:
+            break
+        lo, hi, d = hi, min(max(2 * hi, 1), last), None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (d_mid := float(deficiency(lefts[mid]))) <= lefts[mid + 1]:
+            hi, d = mid, d_mid
+        else:
+            lo = mid
+    d = float(deficiency(lefts[hi])) if d is None else d
+    return max(float(lefts[hi]), d, 0.0)
 
 
 def _flow_unsent(D: np.ndarray, wa: np.ndarray, wb: np.ndarray, total):
-    """t -> total - maxflow from supplies ``wa`` to demands ``wb`` along the
-    pairs with D <= t: the mass of ``wa`` that the flow leaves unsent.
+    """t -> (total - maxflow from supplies ``wa`` to demands ``wb`` along the
+    pairs with D <= t) / total: the share of ``wa`` that the flow leaves unsent.
 
     Integer masses (total below 2**31, the int32 capacities scipy works in)
     run scipy's max flow, each admissible pair an arc of capacity ``total``,
@@ -485,7 +476,7 @@ def _flow_unsent(D: np.ndarray, wa: np.ndarray, wb: np.ndarray, total):
     sink = m + n + 1
     # node 0 is the source, 1..m the atoms of mu, m+1..m+n those of nu
 
-    def unsent(t: float) -> int:
+    def unsent(t: float) -> float:
         rows, cols = np.nonzero(D <= t)
         degrees = np.concatenate([[m], np.bincount(rows, minlength=m), np.ones(n, int), [0]])
         indptr = np.concatenate([[0], np.cumsum(degrees)])
@@ -493,22 +484,27 @@ def _flow_unsent(D: np.ndarray, wa: np.ndarray, wb: np.ndarray, total):
         caps = np.concatenate([wa, np.full(len(rows), total), wb])
         graph = sparse.csr_array((caps.astype(np.int32), indices.astype(np.int32),
                                   indptr.astype(np.int32)), shape=(sink + 1, sink + 1))
-        return total - maximum_flow(graph, 0, sink).flow_value
+        return (total - maximum_flow(graph, 0, sink).flow_value) / total
     return unsent
 
 
 def _shift_deficiency(system: _systems.BinaryShift, sa: np.ndarray, wa: np.ndarray,
                       sb: np.ndarray, wb: np.ndarray):
-    """t -> the mass of mu (windows ``sa``, masses ``wa``) left unsent to each
-    nu on the windows ``sb`` whose masses are a column of ``wb``, as an array.
+    """The window distances 2**-k, k < horizon, which serve as the search's
+    thresholds, and the rule t -> the mass of mu (windows ``sa``, masses
+    ``wa``) left unsent to each nu on the windows ``sb`` whose masses are a
+    column of ``wb``, as an array.
 
     The pairs within t join each cylinder of level ``system._level`` of t to
     itself, so that mass is the sum over those cylinders C of (mu(C) - nu(C))+.
     """
     order, split = _cylinder_order(np.concatenate([sa, sb]))
     # one row per measure: a row sums pairwise as a 1-d array does; a column would not
-    mass = block_diag(wa, wb.T)[:, order]
-    return lambda t: _cylinder_surplus(mass, split, system._level(t, system.horizon))
+    mass = np.zeros((1 + wb.shape[1], len(wa) + len(wb)), dtype=np.result_type(wa, wb))
+    mass[0, :len(wa)], mass[1:, len(wa):] = wa, wb.T
+    mass = mass[:, order]
+    levels = np.ldexp(1.0, -np.arange(system.horizon))
+    return levels, lambda t: _cylinder_surplus(mass, split, system._level(t, system.horizon))
 
 
 def _cylinder_surplus(mass: np.ndarray, split: np.ndarray, k: int) -> np.ndarray:
@@ -675,7 +671,8 @@ def omega_hat_estimate(system: _systems.System, x, schedule: Schedule,
 
     Computes the empirical measure at each tail checkpoint and greedily
     clusters them under the Prokhorov metric with radius ``cluster_tol``;
-    the first member of each cluster is its representative.
+    the first member of each cluster is its representative.  Each test is one
+    deficiency evaluation, exact as def changes only at support distances.
     """
     if not cluster_tol >= 0:
         raise ValueError("cluster tolerance must be non-negative")
@@ -683,6 +680,6 @@ def omega_hat_estimate(system: _systems.System, x, schedule: Schedule,
     reps: list[DiscreteMeasure] = []
     for n in schedule.tail_checkpoints:
         meas = empirical_measure(seg.prefix(n))
-        if not any(prokhorov(meas, rep, system) <= cluster_tol for rep in reps):
+        if all(_deficiency(meas, rep, system)[1](cluster_tol) > cluster_tol for rep in reps):
             reps.append(meas)
     return MeasureSet(tuple(reps))

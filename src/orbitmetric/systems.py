@@ -525,8 +525,9 @@ class BinaryShift(System):
     @staticmethod
     def _level(t: float, cap: int) -> int:
         """The least k <= cap with 2**-k <= t, cap if none; under ``_kernel``,
-        windows lie within t >= 0 iff their first _level(t, horizon) symbols agree."""
-        return int(np.count_nonzero(np.ldexp(1.0, -np.arange(cap)) > t))
+        windows lie within t >= 0 iff their first _level(t, horizon) symbols agree.
+        For 0 < t <= 1, t = f * 2**e with 1/2 <= f < 1, and 2**-k <= t iff k >= 1 - e."""
+        return cap if t <= 0 else min(1 - math.frexp(min(t, 1.0))[1], cap)
 
     def _states(self, atoms) -> np.ndarray:
         rows = [_shift_symbols(p, self.horizon) for p in atoms]

@@ -709,6 +709,81 @@ def test_counted_flow_runs_only_below_the_int32_scale(monkeypatch):
         assert got > 0.1
 
 
+def _deficiency_cases(rng):
+    """Counted pairs on the circle, line, shift(3), shift(30) and rotation x
+    tent, each also with float weights: nested prefixes of one orbit, as
+    ``omega_hat_estimate`` compares them, and prefixes of two orbits."""
+    rot = CircleRotation(0.6180339887498949)
+    for system in (rot, LogisticMap(4.0), BinaryShift(3), BinaryShift(30),
+                   ProductSystem(rot, TentMap())):
+        for _ in range(4):
+            seg = system.orbit_segment(sample_point(system, rng), 150)
+            other = system.orbit_segment(sample_point(system, rng), 40)
+            a, b = (int(v) for v in rng.integers(1, 151, 2))
+            for mu, nu in ((seg.prefix(a), seg.prefix(b)), (seg.prefix(a), other)):
+                mu, nu = empirical_measure(mu), empirical_measure(nu)
+                yield system, mu, nu
+                yield system, mu, _float_weights_with_a_zero(nu, rng)
+                weights = rng.dirichlet(np.ones(mu.support_size))
+                yield system, DiscreteMeasure(mu.atoms, weights), nu
+
+
+def test_one_deficiency_evaluation_decides_prokhorov_at_most_c():
+    # def changes only at the thresholds, so rho <= c iff def(c) <= c; probe
+    # c at rho, at its ulps, at the least thresholds and their ulps
+    decisions = 0
+    for system, mu, nu in _deficiency_cases(np.random.default_rng(41)):
+        rho = prokhorov(mu, nu, system)
+        thresholds, deficiency = measures._deficiency(mu, nu, system)
+        lefts = np.unique(np.append(thresholds, 0.0))[:4].tolist()
+        probes = {0.05, 0.2, 1.0}
+        for c in [rho, *lefts]:
+            probes |= {c, np.nextafter(c, -np.inf), np.nextafter(c, np.inf)}
+        for c in probes:
+            assert (deficiency(c) <= c) == (rho <= c), (system, c, rho)
+            decisions += 1
+    assert decisions > 1000
+
+
+def test_omega_hat_clusters_as_the_greedy_prokhorov_clustering():
+    rot = CircleRotation(0.6180339887498949)
+    schedule = Schedule.geometric(300, tail=8)
+    rng = np.random.default_rng(43)
+    for system in (rot, LogisticMap(4.0), BinaryShift(3), BinaryShift(30),
+                   ProductSystem(rot, TentMap())):
+        x = sample_point(system, rng)
+        seg = system.orbit_segment(x, schedule.max_n)
+        tail = [empirical_measure(seg.prefix(n)) for n in schedule.tail_checkpoints]
+        # a tolerance equal to a distance the clustering meets, and its ulp below
+        tie = prokhorov(tail[-1], tail[0], system)
+        for tol in (0.0, 0.02, 0.05, 0.2, tie, np.nextafter(tie, 0)):
+            reps = []
+            for meas in tail:
+                if not any(prokhorov(meas, rep, system) <= tol for rep in reps):
+                    reps.append(meas)
+            got = omega_hat_estimate(system, x, schedule, tol).members
+            assert [(m.atoms, m.counts.tolist()) for m in got] == [
+                (m.atoms, m.counts.tolist()) for m in reps]
+
+
+def test_breakpoint_search_probes_each_threshold_once_for_the_least_value():
+    # synthetic non-increasing step functions on a dyadic grid, so that
+    # deficiencies tie with threshold ends; the brute force evaluates them all
+    rng = np.random.default_rng(47)
+    for _ in range(400):
+        D = rng.integers(0, 17, size=rng.integers(1, 6, 2)) / 16
+        lefts = np.unique(np.append(D, 0.0))
+        steps = np.sort(rng.integers(0, 25, len(lefts)))[::-1] / 16
+
+        def step(t):
+            return float(steps[np.searchsorted(lefts, t, side="right") - 1])
+
+        probed = []
+        got = measures._breakpoint_search(D, lambda t: probed.append(float(t)) or step(t))
+        assert got == min(max(t, step(t)) for t in lefts.tolist())
+        assert len(probed) == len(set(probed))
+
+
 @pytest.mark.parametrize("system, good, bad, error", [
     (TentMap(), 0.5, 1.5, ValueError),
     (TentMap(), 0.5, -0.25, ValueError),

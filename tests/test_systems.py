@@ -279,6 +279,18 @@ def test_shift_distance_quantization_under_horizon_change():
         assert abs(coarse.dist(p, q) - fine.dist(p, q)) <= 2.0 ** -10
 
 
+def test_shift_level_matches_the_dyadic_array_rule():
+    # the least k <= cap with 2**-k <= t, as a count over the array of levels
+    powers = [np.ldexp(1.0, -k) for k in range(-3, 1080)]
+    probes = {0.0, 5e-324, 1.0, 3.0, np.inf}
+    for p in powers:
+        probes |= {p, np.nextafter(p, 0), np.nextafter(p, np.inf)}
+    caps = np.arange(70)
+    for t in probes:
+        above = np.concatenate([[0], np.cumsum(np.ldexp(1.0, -caps) > t)])
+        assert [BinaryShift._level(t, cap) for cap in caps.tolist()] == above[caps].tolist()
+
+
 def test_block_point_prefixes():
     x = build_example31_point("U", (1, 2, 6), 3)
     y = build_example31_point("V", (1, 2, 6), 3)
