@@ -331,20 +331,22 @@ def _merged_w1(geometry: str, u: np.ndarray, uw: np.ndarray,
 def _sorted_w1(geometry: str, pts: np.ndarray, signed: np.ndarray) -> float:
     """W1 on the line or circle from the merged atoms of both measures in
     ascending order, with mu's weights positive and nu's negative.  Integer
-    weights (counts) give an exact integer CDF and W1 times their scale."""
+    weights (counts) give an exact integer CDF and W1 times their scale; on
+    the circle the median shift is taken off that CDF in place, in its dtype."""
     if geometry == _systems.GEOMETRY_LINE:
         if not (0 <= pts[0] and pts[-1] <= 1):
             raise ValueError("line atoms must lie in [0, 1]")
         cdf_diff = np.cumsum(signed)[:-1]
-        return float(np.abs(cdf_diff) @ np.diff(pts))
+        return float(np.abs(cdf_diff, out=cdf_diff) @ np.diff(pts))
     if not (0 <= pts[0] and pts[-1] < 1):
         raise ValueError("circle atoms must lie in [0, 1)")
     g = np.cumsum(signed)
     lengths = np.empty_like(pts)
-    lengths[:-1] = np.diff(pts)
+    np.subtract(pts[1:], pts[:-1], out=lengths[:-1])
     lengths[-1] = 1.0 - pts[-1] + pts[0]  # wrap segment, g there is ~0
-    shift = _weighted_median(g, lengths)
-    return float(np.abs(g - shift) @ lengths)
+    # the median of an integer CDF is an integer, so g stays integer in place
+    g -= g.dtype.type(_weighted_median(g, lengths))
+    return float(np.abs(g, out=g) @ lengths)
 
 
 def _cylinder_order(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

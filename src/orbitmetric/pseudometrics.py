@@ -103,10 +103,11 @@ def _prefix_sorts(system: _systems.System, seg_x: _systems.OrbitSegment,
     the segment length; they are yielded last first.
 
     Each checkpoint keeps the rows of the first n states of either segment,
-    in the order of the full sort.  The signs are integers +1 (x) and -1
-    (y).  On the line and circle ``key`` holds the sorted states; on the
-    shift it holds the splits, and two kept windows first differ at the
-    least split between them.
+    in the order of the full sort; a smaller checkpoint takes them from the
+    next larger one through one index array, ``rows``.  The signs are
+    integers +1 (x) and -1 (y).  On the line and circle ``key`` holds the
+    sorted states; on the shift it holds the splits, and two kept windows
+    first differ at the least split between them.
     """
     N = seg_x.length
     shift = system.geometry == _systems.GEOMETRY_SHIFT
@@ -120,13 +121,11 @@ def _prefix_sorts(system: _systems.System, seg_x: _systems.OrbitSegment,
     signs = np.where(pos < N, 1, -1)
     pos %= N
     for n in reversed(checkpoints):
-        keep = pos < n
-        signs, pos = signs[keep], pos[keep]
-        if shift:
-            rows = np.flatnonzero(keep)
-            key = np.minimum.reduceat(key[:rows[-1]], rows[:-1])
-        else:
-            key = key[keep]
+        if n < N:
+            rows = np.flatnonzero(pos < n)
+            signs, pos = signs.take(rows), pos.take(rows)
+            key = (np.minimum.reduceat(key[:rows[-1]], rows[:-1]) if shift
+                   else key.take(rows))
         yield n, signs, key
 
 

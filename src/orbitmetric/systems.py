@@ -358,8 +358,9 @@ class CircleRotation(_NumericSystem):
             raise ValueError("rotation angle must lie in [0, 1)")
 
     def _kernel(self, a, b) -> np.ndarray:
-        d = np.abs(a - b)
-        return np.minimum(d, 1.0 - d)
+        d = np.subtract(a, b)
+        np.abs(d, out=d)
+        return np.minimum(d, 1.0 - d, out=d)
 
     def _states(self, atoms) -> np.ndarray:
         return _unit_states(atoms, closed_right=False)
@@ -411,7 +412,8 @@ class _IntervalSystem(_NumericSystem):
     diameter = 1.0
 
     def _kernel(self, a, b) -> np.ndarray:
-        return np.abs(a - b)
+        d = np.subtract(a, b)
+        return np.abs(d, out=d)
 
     def _states(self, atoms) -> np.ndarray:
         return _unit_states(atoms, closed_right=True)
@@ -582,8 +584,8 @@ class ProductSystem(System):
         return p
 
     def _kernel(self, a, b) -> np.ndarray:
-        return np.maximum(self.first._kernel(a[0], b[0]),
-                          self.second._kernel(a[1], b[1]))
+        d = self.first._kernel(a[0], b[0])  # a fresh array, so the max goes into it
+        return np.maximum(d, self.second._kernel(a[1], b[1]), out=d)
 
     def _states(self, atoms) -> tuple:
         pairs = [self._split(p) for p in atoms]

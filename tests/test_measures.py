@@ -298,6 +298,48 @@ def test_weighted_median_at_exact_half():
             == measures._sorted_w1(GEOMETRY_CIRCLE, pts, counts / 2) == 0.25)
 
 
+def _circle_w1_reference(pts, signed):
+    g = np.cumsum(signed)
+    lengths = np.append(np.diff(pts), 1.0 - pts[-1] + pts[0])
+    return float(np.abs(g - measures._weighted_median(g, lengths)) @ lengths)
+
+
+def test_circle_w1_of_integer_signs_is_bit_identical_to_the_float_shift():
+    # integer signs take the median shift off in place; the value must be
+    # the one the float subtraction gives, to the bit
+    rng = np.random.default_rng(19)
+    cases = [(np.array([0.2, 0.7]), np.array([1, -1])),
+             (np.array([0.2, 0.7]), np.array([3, -3])),
+             (np.array([0.0, 0.5, 0.5, 0.75]), np.zeros(4, dtype=np.int64))]
+    for _ in range(200):
+        n = int(rng.integers(2, 400))
+        pts = np.sort(rng.random(n))
+        if rng.random() < 0.4:  # heavy ties: zero-length gaps
+            pts = np.sort(rng.choice(pts[:max(1, n // 8)], n))
+        signed = (rng.choice([-1, 1], n) if rng.random() < 0.5
+                  else rng.integers(-6, 7, n))
+        cases.append((pts, signed))
+    for pts, signed in cases:
+        kept = signed.copy()
+        got = measures._sorted_w1(GEOMETRY_CIRCLE, pts, signed)
+        assert got == _circle_w1_reference(pts, signed), (pts, signed)
+        assert np.array_equal(signed, kept)
+
+
+def test_circle_w1_of_float_weights_keeps_a_fractional_shift():
+    # the median of this CDF difference is 0.25; taking an integer part off
+    # would give 0.3125 in place of 0.1875
+    pts = np.array([0.0, 0.25, 0.5, 0.75])
+    signed = np.array([0.5, -0.25, 0.25, -0.5])
+    assert measures._sorted_w1(GEOMETRY_CIRCLE, pts, signed) == 0.1875
+    rng = np.random.default_rng(20)
+    for _ in range(100):
+        n = int(rng.integers(2, 200))
+        pts, signed = np.sort(rng.random(n)), rng.normal(size=n)
+        assert (measures._sorted_w1(GEOMETRY_CIRCLE, pts, signed)
+                == _circle_w1_reference(pts, signed))
+
+
 def test_w1_fast_rejects_unknown_geometry():
     m = DiscreteMeasure.dirac(0.5)
     with pytest.raises(ValueError):

@@ -28,6 +28,8 @@ from orbitmetric import (
     wasserstein1_fast_1d,
     weyl_profile,
 )
+from orbitmetric.measures import _cylinder_order
+from orbitmetric.pseudometrics import _prefix_sorts
 from orbitmetric.systems import TentMap, aligned_distances, cost_matrix
 
 GOLDEN = 0.6180339887498949
@@ -177,6 +179,53 @@ def test_ebar_1d_matches_exact_rational_oracle(system, x, y):
     for n, value in zip(sched.checkpoints, est.values):
         exact = _exact_ebar_1d(system, x, y, n)
         assert abs(Fraction(value) - exact) <= 4 * 2.0 ** -52 * exact, (n, value)
+
+
+def _random_shift_point(rng):
+    return ShiftPoint(tuple(rng.integers(0, 2, 40).tolist()), (0, 1, 1))
+
+
+@pytest.mark.parametrize("system, points", [
+    (LogisticMap(3.9), lambda rng: (0.123, 0.456)),
+    # float tent orbits reach 0 and stay there: most rows tie
+    (TentMap(), lambda rng: (0.1, 0.65)),
+    # alpha = 0 keeps each orbit on its start, so every state is tied
+    (CircleRotation(0.0), lambda rng: (0.25, 0.25)),
+    (CircleRotation(0.0), lambda rng: (0.25, 0.75)),
+    (CircleRotation(GOLDEN), lambda rng: (0.05, 0.55)),
+    *[(BinaryShift(k), lambda rng: (_random_shift_point(rng), _random_shift_point(rng)))
+      for k in (1, 3, 30)],
+], ids=["logistic", "tent", "rotation0-equal", "rotation0", "golden",
+        "shift1", "shift3", "shift30"])
+@pytest.mark.parametrize("cps", [
+    (1, 64),
+    (1, 2, 3, 40, 99, 100),
+    (7, 299, 300),
+    Schedule.geometric(50_000).checkpoints,
+], ids=["1-N", "1-to-N", "N-1-N", "geometric"])
+def test_prefix_sorts_keep_the_full_sort_rows_below_each_checkpoint(system, points, cps):
+    # the reference masks the one full sort afresh at each checkpoint: the
+    # rows whose time index is below n, in the order of the full sort
+    N = cps[-1]
+    x, y = points(np.random.default_rng(N))
+    seg_x, seg_y = system.orbit_segment(x, N), system.orbit_segment(y, N)
+    if system.geometry == "shift":
+        windows = np.concatenate([system._view(seg_x), system._view(seg_y)])
+        order = _cylinder_order(windows)[0]
+    else:
+        states = np.concatenate([seg_x.data, seg_y.data])
+        order = np.argsort(states)
+    got = list(_prefix_sorts(system, seg_x, seg_y, cps))
+    assert [n for n, _, _ in got] == list(reversed(cps))
+    for n, signs, key in got:
+        kept = order % N < n
+        assert np.array_equal(signs, np.where(order < N, 1, -1)[kept]), n
+        if system.geometry == "shift":
+            differ = np.diff(windows[order[kept]], axis=0) != 0
+            want = np.where(differ.any(axis=1), differ.argmax(axis=1), system.horizon)
+        else:
+            want = states[order[kept]]
+        assert np.array_equal(key, want), n
 
 
 def test_ebar_shifted_start_fades_linearly():
