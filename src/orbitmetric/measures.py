@@ -2,7 +2,8 @@
 
 The measures here are finitely supported probability measures whose atoms
 are system states (numbers, symbol windows, or pairs).  Three distances are
-provided: exact Wasserstein-1 via the transportation linear program, solved
+provided: exact Wasserstein-1, by the assignment solver for two uniform
+measures of equal support size and otherwise by the transportation LP, solved
 by column generation; exact closed-form Wasserstein-1 for one-dimensional
 geometries; and the exact one-sided Prokhorov metric.  Prokhorov runs one
 monotone search over the thresholds (``_breakpoint_search``) on every
@@ -32,6 +33,7 @@ from scipy.optimize import linprog
 from scipy.sparse.csgraph import maximum_flow
 
 from .errors import SizeLimitError
+from . import matching as _matching
 from . import systems as _systems
 
 ORACLE_SUPPORT_LIMIT = 12
@@ -44,6 +46,14 @@ _FLOW_EPS = 1e-15
 # scipy's maximum_flow keeps capacities in int32 and wraps larger ones
 # without an error, so the integer flow runs only below this common scale
 _INT_FLOW_LIMIT = 2 ** 31
+
+# largest n at which W1 between two uniform n-atom measures runs the assignment
+# solver: the priced LP over the assignment time, on uniform empiricals of two
+# orbits, was 6.3x at n = 300, 1.6x at 1000, 0.9x at 1500 and 0.5x at 2000 on
+# the logistic map, and 6.5x, 5.1x, 3.8x, 3.0x on the circle; rotation x
+# logistic gave 13.7x, 16.8x, 14.5x, 7.4x and rotation x tent 21.6x, 6.9x,
+# 5.1x, 3.4x.  The logistic map crosses over between 1000 and 1500
+_W1_ASSIGNMENT_LIMIT = 1000
 
 # nearest pairs of each row and each column that seed the restricted W1 LP
 _W1_SEED_NEIGHBOURS = 16
@@ -226,33 +236,54 @@ def empirical_measure(seg: _systems.OrbitSegment) -> DiscreteMeasure:
 
 def wasserstein1(mu: DiscreteMeasure, nu: DiscreteMeasure,
                  system: _systems.System) -> float:
-    """Exact Wasserstein-1 via the transportation linear program.
+    """Exact Wasserstein-1, by an assignment or the transportation LP.
 
     Supplies are mu's weights, demands nu's, and the cost of moving one unit
-    from atom i to atom j is their ground distance.  The LP over all m*n
-    pairs is solved by delayed column generation: a restricted LP over a few
-    pairs (see ``_w1_seed``) is solved with the HiGHS simplex through scipy,
-    its duals u, v price every pair, each pair with reduced cost
-    D[i, j] - u[i] - v[j] below -_W1_PRICE_TOL joins, and the loop repeats
-    until none does.  Pricing tests only the pairs outside the restricted
-    LP, so HiGHS runs with dual feasibility tolerance 1e-10, the least it
-    accepts: at its default 1e-7 a restricted solve could stop at a basis
-    1.1e-9 above the optimum.  On exit every reduced cost is then at least
-    -1e-10, and lowering u by the largest violation gives a feasible dual of
-    the full LP within 1e-10 of the value returned (mu has mass one), so
-    that value is the full LP optimum to within 1e-10, up to HiGHS's primal
-    feasibility tolerance.  No closed form is used.  HiGHS presolve is off:
-    on a transportation problem it removes only the one redundant balance
-    row, and it made the restricted solves 1.05 to 1.6 times slower.
+    from atom i to atom j is their ground distance.  When both measures keep
+    counts, each puts equal counts on its atoms, and both have the same n
+    atoms with n <= _W1_ASSIGNMENT_LIMIT (every empirical measure of two
+    length-n orbits whose states are distinct), the value is the minimum-cost
+    assignment on the distance matrix divided by n: by Birkhoff-von Neumann
+    the vertices of the transportation polytope with uniform marginals 1/n
+    are the permutation matrices divided by n, so the LP optimum is attained
+    at one.  Every other pair (float weights, unequal counts or support sizes,
+    n above the limit) runs the priced LP ``_transport_lp``.  Neither route
+    uses a closed form.
     """
     D = system._kernel_matrix(mu.states(system), nu.states(system))
+    n = mu.support_size
+    if nu.support_size == n <= _W1_ASSIGNMENT_LIMIT and all(
+            meas.counts is not None and (meas.counts == meas.counts[0]).all()
+            for meas in (mu, nu)):
+        return _matching.min_cost_assignment(D)[1] / n
+    return _transport_lp(D, mu.weights, nu.weights)
+
+
+def _transport_lp(D: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> float:
+    """The transportation LP from supplies ``wa`` to demands ``wb`` at costs ``D``.
+
+    The LP over all m*n pairs is solved by delayed column generation: a
+    restricted LP over a few pairs (see ``_w1_seed``) is solved with the
+    HiGHS simplex through scipy, its duals u, v price every pair, each pair
+    with reduced cost D[i, j] - u[i] - v[j] below -_W1_PRICE_TOL joins, and
+    the loop repeats until none does.  Pricing tests only the pairs outside
+    the restricted LP, so HiGHS runs with dual feasibility tolerance 1e-10,
+    the least it accepts: at its default 1e-7 a restricted solve could stop
+    at a basis 1.1e-9 above the optimum.  On exit every reduced cost is then
+    at least -1e-10, and lowering u by the largest violation gives a feasible
+    dual of the full LP within 1e-10 of the value returned (wa has mass one),
+    so that value is the full LP optimum to within 1e-10, up to HiGHS's
+    primal feasibility tolerance.  HiGHS presolve is off: on a transportation
+    problem it removes only the one redundant balance row, and it made the
+    restricted solves 1.05 to 1.6 times slower.
+    """
     m, n = D.shape
     if m == 1:
-        return float(D[0] @ nu.weights)
+        return float(D[0] @ wb)
     if n == 1:
-        return float(D[:, 0] @ mu.weights)
-    b = np.concatenate([mu.weights, nu.weights])
-    active = _w1_seed(D, mu.weights, nu.weights)
+        return float(D[:, 0] @ wa)
+    b = np.concatenate([wa, wb])
+    active = _w1_seed(D, wa, wb)
     while True:
         rows, cols = np.nonzero(active)
         # column k of the restricted LP has a one in row rows[k] and in m + cols[k]
@@ -271,7 +302,7 @@ def wasserstein1(mu: DiscreteMeasure, nu: DiscreteMeasure,
 
 
 def _w1_seed(D: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
-    """The pairs the restricted LP of ``wasserstein1`` starts from, as a mask.
+    """The pairs the restricted LP of ``_transport_lp`` starts from, as a mask.
 
     The northwest-corner plan over the atoms in their stored order, which
     visits every row and column on a staircase from (0, 0) to (m-1, n-1)

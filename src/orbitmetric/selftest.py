@@ -39,10 +39,14 @@ def _check_matching_identity(rng: np.random.Generator) -> str | None:
             sx = system.orbit_segment(x, n)
             sy = system.orbit_segment(y, n)
             _, cost = matching.min_cost_assignment(systems.cost_matrix(sx, sy))
-            w1 = measures.wasserstein1(measures.empirical_measure(sx),
-                                       measures.empirical_measure(sy), system)
-            if abs(n * w1 - cost) > 1e-9:
-                return f"{system.kind} n={n}: |n*W1 - cost| = {abs(n * w1 - cost):.2e}"
+            mu, nu = measures.empirical_measure(sx), measures.empirical_measure(sy)
+            # wasserstein1 sends uniform n-atom pairs to the assignment solver,
+            # so the priced LP is checked on its own as well
+            lp = measures._transport_lp(system.pairwise_dist(mu.atoms, nu.atoms),
+                                        mu.weights, nu.weights)
+            for route, w1 in (("W1", measures.wasserstein1(mu, nu, system)), ("LP", lp)):
+                if abs(n * w1 - cost) > 1e-9:
+                    return f"{system.kind} n={n}: |n*{route} - cost| = {abs(n*w1 - cost):.2e}"
     return None
 
 

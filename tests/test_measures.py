@@ -19,6 +19,7 @@ from orbitmetric import (
     ShiftPoint,
     SizeLimitError,
     delta_n,
+    ebar_n,
     empirical_measure,
     example31_report,
     hausdorff_measures,
@@ -421,7 +422,7 @@ def test_w1_of_empiricals_matches_assignment():
         for system in (rot, DoublingMap(), BinaryShift(), ProductSystem(rot, TentMap())):
             for _ in range(10):
                 yield system, int(rng.integers(2, 25))
-        # the sizes of the benchmark's LP requests
+        # the sizes of the benchmark's W1 requests
         yield LogisticMap(4.0), 150
         yield rot, 150
         # products past the 16 pairs a side that seed the priced LP
@@ -436,6 +437,10 @@ def test_w1_of_empiricals_matches_assignment():
                                  system.orbit_segment(y, n).points())
         _, cost = min_cost_assignment(C)
         assert n * wasserstein1(mu, nu, system) == pytest.approx(cost, abs=1e-9)
+        # the priced LP too, which wasserstein1 skips for uniform n-atom pairs
+        lp = measures._transport_lp(system.pairwise_dist(mu.atoms, nu.atoms),
+                                    mu.weights, nu.weights)
+        assert n * lp == pytest.approx(cost, abs=1e-9)
 
 
 def _dense_transport(D, wa, wb):
@@ -515,8 +520,84 @@ def test_w1_lp_reaches_the_optimum_where_the_default_dual_tolerance_stops_short(
     logistic = LogisticMap(3.9)
     mu, nu = (empirical_measure(logistic.orbit_segment(x, 143))
               for x in (0.5710784961645261, 0.2834976840119148))
-    assert abs(wasserstein1(mu, nu, logistic)
-               - wasserstein1_fast_1d(mu, nu, GEOMETRY_LINE)) <= 1e-12
+    closed = wasserstein1_fast_1d(mu, nu, GEOMETRY_LINE)
+    assert abs(wasserstein1(mu, nu, logistic) - closed) <= 1e-12
+    # wasserstein1 sends this uniform pair to the assignment solver; the LP itself
+    lp = measures._transport_lp(logistic.pairwise_dist(mu.atoms, nu.atoms),
+                                mu.weights, nu.weights)
+    assert abs(lp - closed) <= 1e-12
+
+
+def _w1_and_lp_solves(monkeypatch, mu, nu, system):
+    """wasserstein1(mu, nu, system) and the number of HiGHS solves it ran."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(measures, "linprog", spy)
+    try:
+        return wasserstein1(mu, nu, system), len(calls)
+    finally:
+        monkeypatch.undo()
+
+
+def test_w1_between_uniform_n_atom_measures_is_the_assignment_route(monkeypatch):
+    # two orbits with distinct states give uniform measures on n atoms each;
+    # the dense LP is the oracle at n = 120.  At the route's limit the dense
+    # LP takes half a minute and a gigabyte a pair, and the priced LP 12 s on
+    # the shift, so there the oracle is ebar_n's closed-form transport (equal
+    # to W1 by the matching identity) and the priced LP on products
+    rng = np.random.default_rng(26)
+    rot = CircleRotation(0.6180339887498949)
+    limit = measures._W1_ASSIGNMENT_LIMIT
+    shift = BinaryShift(30)
+
+    def shift_point():
+        # random symbols throughout, so the 30-symbol windows are distinct
+        return ShiftPoint(tuple(rng.integers(0, 2, limit + 30).tolist()), (0,))
+
+    # tent orbits of floats reach 0, so rotation x tent distances tie everywhere
+    for system in (LogisticMap(3.9), rot, shift, ProductSystem(rot, LogisticMap(3.9)),
+                   ProductSystem(rot, TentMap())):
+        x, y = (shift_point() if system is shift else sample_point(system, rng)
+                for _ in range(2))
+        for n in (120, limit):
+            mu, nu = (empirical_measure(system.orbit_segment(p, n)) for p in (x, y))
+            assert mu.support_size == nu.support_size == n
+            w1, solves = _w1_and_lp_solves(monkeypatch, mu, nu, system)
+            assert solves == 0
+            D = system.pairwise_dist(mu.atoms, nu.atoms)
+            if n < limit:
+                want = _dense_transport(D, mu.weights, nu.weights)
+            elif system.geometry == GEOMETRY_PRODUCT:
+                want = measures._transport_lp(D, mu.weights, nu.weights)
+            else:
+                want = ebar_n(system, x, y, n)
+            assert abs(w1 - want) <= 1e-12
+    # equal counts other than one are uniform too
+    atoms = [k / 40 for k in range(40)]
+    mu, nu = (DiscreteMeasure.from_counts(atoms, np.full(40, c)) for c in (1, 3))
+    assert _w1_and_lp_solves(monkeypatch, mu, nu, rot)[1] == 0
+
+
+def test_w1_runs_the_priced_lp_off_the_assignment_route(monkeypatch):
+    # float weights, unequal counts, unequal supports and n past the limit
+    rot = CircleRotation(0.6180339887498949)
+    limit = measures._W1_ASSIGNMENT_LIMIT
+    atoms = [k / 40 for k in range(40)]
+    shifted = DiscreteMeasure.from_counts([(a + 0.013) % 1 for a in atoms], np.ones(40, int))
+    past = [empirical_measure(rot.orbit_segment(x, limit + 1)) for x in (0.1, 0.35)]
+    assert past[0].support_size == past[1].support_size == limit + 1
+    cases = [(DiscreteMeasure(atoms, np.full(40, 1 / 40)), shifted),
+             (DiscreteMeasure.from_counts(atoms, [2] + [1] * 39), shifted),
+             (DiscreteMeasure.from_counts(atoms[:39], np.ones(39, int)), shifted),
+             tuple(past)]
+    for mu, nu in cases:
+        w1, solves = _w1_and_lp_solves(monkeypatch, mu, nu, rot)
+        assert solves > 0
+        assert abs(w1 - wasserstein1_fast_1d(mu, nu, GEOMETRY_CIRCLE)) <= 1e-12
 
 
 def test_w1_prokhorov_comparison_bounds():
