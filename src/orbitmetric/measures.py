@@ -47,14 +47,6 @@ _FLOW_EPS = 1e-15
 # without an error, so the integer flow runs only below this common scale
 _INT_FLOW_LIMIT = 2 ** 31
 
-# largest n at which W1 between two uniform n-atom measures runs the assignment
-# solver: the priced LP over the assignment time, on uniform empiricals of two
-# orbits, was 6.3x at n = 300, 1.6x at 1000, 0.9x at 1500 and 0.5x at 2000 on
-# the logistic map, and 6.5x, 5.1x, 3.8x, 3.0x on the circle; rotation x
-# logistic gave 13.7x, 16.8x, 14.5x, 7.4x and rotation x tent 21.6x, 6.9x,
-# 5.1x, 3.4x.  The logistic map crosses over between 1000 and 1500
-_W1_ASSIGNMENT_LIMIT = 1000
-
 # nearest pairs of each row and each column that seed the restricted W1 LP
 _W1_SEED_NEIGHBOURS = 16
 # a pair whose reduced cost falls below minus this joins the restricted W1 LP
@@ -240,19 +232,18 @@ def wasserstein1(mu: DiscreteMeasure, nu: DiscreteMeasure,
 
     Supplies are mu's weights, demands nu's, and the cost of moving one unit
     from atom i to atom j is their ground distance.  When both measures keep
-    counts, each puts equal counts on its atoms, and both have the same n
-    atoms with n <= _W1_ASSIGNMENT_LIMIT (every empirical measure of two
-    length-n orbits whose states are distinct), the value is the minimum-cost
-    assignment on the distance matrix divided by n: by Birkhoff-von Neumann
-    the vertices of the transportation polytope with uniform marginals 1/n
-    are the permutation matrices divided by n, so the LP optimum is attained
-    at one.  Every other pair (float weights, unequal counts or support sizes,
-    n above the limit) runs the priced LP ``_transport_lp``.  Neither route
-    uses a closed form.
+    counts, each puts equal counts on its atoms, and both have the same
+    number n of atoms (every empirical measure of two length-n orbits whose
+    states are distinct), the value is the minimum-cost assignment on the
+    distance matrix divided by n: by Birkhoff-von Neumann the vertices of the
+    transportation polytope with uniform marginals 1/n are the permutation
+    matrices divided by n, so the LP optimum is attained at one.  Every other pair (float weights, unequal counts or support
+    sizes) runs the priced LP ``_transport_lp``.  Neither route uses a
+    closed form.
     """
     D = system._kernel_matrix(mu.states(system), nu.states(system))
     n = mu.support_size
-    if nu.support_size == n <= _W1_ASSIGNMENT_LIMIT and all(
+    if nu.support_size == n and all(
             meas.counts is not None and (meas.counts == meas.counts[0]).all()
             for meas in (mu, nu)):
         return _matching.min_cost_assignment(D)[1] / n

@@ -39,6 +39,7 @@ from orbitmetric import (
     wasserstein1_fast_1d,
     weyl_profile,
 )
+from orbitmetric import measures
 from orbitmetric.analysis import VERDICT_CONSISTENT, VERDICT_VIOLATED
 from orbitmetric.systems import GEOMETRY_CIRCLE, GEOMETRY_LINE, TentMap, cost_matrix
 
@@ -82,7 +83,11 @@ def test_matching_cost_equals_scaled_wasserstein():
             mu, nu = empirical_measure(seg_x), empirical_measure(seg_y)
             C = system.pairwise_dist(seg_x.points(), seg_y.points())
             _, cost = min_cost_assignment(C)
-            worst = max(worst, abs(n * wasserstein1(mu, nu, system) - cost))
+            # the priced LP too: wasserstein1 solves uniform n-atom pairs by assignment
+            lp = measures._transport_lp(system.pairwise_dist(mu.atoms, nu.atoms),
+                                        mu.weights, nu.weights)
+            worst = max(worst, abs(n * wasserstein1(mu, nu, system) - cost),
+                        abs(n * lp - cost))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9
     _report(2, "n*W1 of empiricals equals matching cost", ok, elapsed, budget)

@@ -482,6 +482,21 @@ def test_w1_priced_lp_matches_dense_lp():
             assert abs(wasserstein1(mu, nu, system) - _dense_w1(mu, nu, system)) <= 1e-12
 
 
+def _w1_and_lp_sizes(monkeypatch, mu, nu, system):
+    """wasserstein1(mu, nu, system) and the column count of each HiGHS solve it ran."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(len(args[0]))
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(measures, "linprog", spy)
+    try:
+        return wasserstein1(mu, nu, system), calls
+    finally:
+        monkeypatch.undo()
+
+
 def test_w1_pricing_adds_the_pairs_the_seed_misses(monkeypatch):
     # nu puts half its mass on the atom at 0, so at least 20 of mu's 40
     # uniform atoms must each send all their mass there, from both sides of
@@ -500,15 +515,7 @@ def test_w1_pricing_adds_the_pairs_the_seed_misses(monkeypatch):
         want = _dense_w1(mu, nu, rot)
         # pairs outside the seed priced out of reach: the seed alone is not optimal
         assert _dense_transport(np.where(seed, D, 2.0), mu.weights, nu.weights) > want + 1e-3
-        calls = []
-
-        def spy(*args, **kwargs):
-            calls.append(len(args[0]))
-            return linprog(*args, **kwargs)
-
-        monkeypatch.setattr(measures, "linprog", spy)
-        w1 = wasserstein1(mu, nu, rot)
-        monkeypatch.undo()
+        w1, calls = _w1_and_lp_sizes(monkeypatch, mu, nu, rot)
         assert calls[0] == seed.sum() < 40 * 40 and len(calls) > 1
         assert abs(w1 - want) <= 1e-12
         assert abs(w1 - wasserstein1_fast_1d(mu, nu, GEOMETRY_CIRCLE)) <= 1e-12
@@ -528,48 +535,32 @@ def test_w1_lp_reaches_the_optimum_where_the_default_dual_tolerance_stops_short(
     assert abs(lp - closed) <= 1e-12
 
 
-def _w1_and_lp_solves(monkeypatch, mu, nu, system):
-    """wasserstein1(mu, nu, system) and the number of HiGHS solves it ran."""
-    calls = []
-
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return linprog(*args, **kwargs)
-
-    monkeypatch.setattr(measures, "linprog", spy)
-    try:
-        return wasserstein1(mu, nu, system), len(calls)
-    finally:
-        monkeypatch.undo()
-
-
 def test_w1_between_uniform_n_atom_measures_is_the_assignment_route(monkeypatch):
     # two orbits with distinct states give uniform measures on n atoms each;
-    # the dense LP is the oracle at n = 120.  At the route's limit the dense
-    # LP takes half a minute and a gigabyte a pair, and the priced LP 12 s on
-    # the shift, so there the oracle is ebar_n's closed-form transport (equal
-    # to W1 by the matching identity) and the priced LP on products
+    # the dense LP is the oracle at n = 120.  At n = 1000 the dense LP takes
+    # half a minute and a gigabyte a pair, and the priced LP 12 s on the
+    # shift, so there the oracle is ebar_n's closed-form transport (equal to
+    # W1 by the matching identity) and the priced LP on products
     rng = np.random.default_rng(26)
     rot = CircleRotation(0.6180339887498949)
-    limit = measures._W1_ASSIGNMENT_LIMIT
     shift = BinaryShift(30)
 
     def shift_point():
         # random symbols throughout, so the 30-symbol windows are distinct
-        return ShiftPoint(tuple(rng.integers(0, 2, limit + 30).tolist()), (0,))
+        return ShiftPoint(tuple(rng.integers(0, 2, 1030).tolist()), (0,))
 
     # tent orbits of floats reach 0, so rotation x tent distances tie everywhere
     for system in (LogisticMap(3.9), rot, shift, ProductSystem(rot, LogisticMap(3.9)),
                    ProductSystem(rot, TentMap())):
         x, y = (shift_point() if system is shift else sample_point(system, rng)
                 for _ in range(2))
-        for n in (120, limit):
+        for n in (120, 1000):
             mu, nu = (empirical_measure(system.orbit_segment(p, n)) for p in (x, y))
             assert mu.support_size == nu.support_size == n
-            w1, solves = _w1_and_lp_solves(monkeypatch, mu, nu, system)
-            assert solves == 0
+            w1, solves = _w1_and_lp_sizes(monkeypatch, mu, nu, system)
+            assert not solves
             D = system.pairwise_dist(mu.atoms, nu.atoms)
-            if n < limit:
+            if n == 120:
                 want = _dense_transport(D, mu.weights, nu.weights)
             elif system.geometry == GEOMETRY_PRODUCT:
                 want = measures._transport_lp(D, mu.weights, nu.weights)
@@ -579,24 +570,20 @@ def test_w1_between_uniform_n_atom_measures_is_the_assignment_route(monkeypatch)
     # equal counts other than one are uniform too
     atoms = [k / 40 for k in range(40)]
     mu, nu = (DiscreteMeasure.from_counts(atoms, np.full(40, c)) for c in (1, 3))
-    assert _w1_and_lp_solves(monkeypatch, mu, nu, rot)[1] == 0
+    assert not _w1_and_lp_sizes(monkeypatch, mu, nu, rot)[1]
 
 
 def test_w1_runs_the_priced_lp_off_the_assignment_route(monkeypatch):
-    # float weights, unequal counts, unequal supports and n past the limit
+    # float weights, unequal counts and unequal supports
     rot = CircleRotation(0.6180339887498949)
-    limit = measures._W1_ASSIGNMENT_LIMIT
     atoms = [k / 40 for k in range(40)]
     shifted = DiscreteMeasure.from_counts([(a + 0.013) % 1 for a in atoms], np.ones(40, int))
-    past = [empirical_measure(rot.orbit_segment(x, limit + 1)) for x in (0.1, 0.35)]
-    assert past[0].support_size == past[1].support_size == limit + 1
     cases = [(DiscreteMeasure(atoms, np.full(40, 1 / 40)), shifted),
              (DiscreteMeasure.from_counts(atoms, [2] + [1] * 39), shifted),
-             (DiscreteMeasure.from_counts(atoms[:39], np.ones(39, int)), shifted),
-             tuple(past)]
+             (DiscreteMeasure.from_counts(atoms[:39], np.ones(39, int)), shifted)]
     for mu, nu in cases:
-        w1, solves = _w1_and_lp_solves(monkeypatch, mu, nu, rot)
-        assert solves > 0
+        w1, solves = _w1_and_lp_sizes(monkeypatch, mu, nu, rot)
+        assert solves
         assert abs(w1 - wasserstein1_fast_1d(mu, nu, GEOMETRY_CIRCLE)) <= 1e-12
 
 
