@@ -12,8 +12,9 @@ the surplus over the cylinders of its ultrametric (``_cylinder_surplus``),
 the line runs a greedy sweep (``_line_unsent``) and the circle and products
 a maximum flow (``_flow_unsent``), all in the mass unit ``_masses`` picks:
 integer counts when both measures keep them (empirical measures do), so the
-value is correctly rounded, and float weights with a Python Dinic flow
-otherwise.  The Dinic flow and ``prokhorov_oracle`` check the other routes.
+value is correctly rounded, and float weights otherwise, where the circle and
+products solve each flow as one HiGHS LP.  ``prokhorov_oracle`` and the float
+flow check the other routes.
 ``_deficiency`` is the one geometry dispatch; def changes only at support
 distances, so ``omega_hat_estimate`` tests rho <= c as def(c) <= c, no search.
 Delta_n of two length-n orbits is n times the deficiency of their
@@ -39,9 +40,6 @@ from . import systems as _systems
 ORACLE_SUPPORT_LIMIT = 12
 
 WEIGHT_SUM_TOL = 1e-12
-
-# residual capacities below this are treated as exhausted in max-flow
-_FLOW_EPS = 1e-15
 
 # scipy's maximum_flow keeps capacities in int32 and wraps larger ones
 # without an error, so the integer flow runs only below this common scale
@@ -237,9 +235,9 @@ def wasserstein1(mu: DiscreteMeasure, nu: DiscreteMeasure,
     states are distinct), the value is the minimum-cost assignment on the
     distance matrix divided by n: by Birkhoff-von Neumann the vertices of the
     transportation polytope with uniform marginals 1/n are the permutation
-    matrices divided by n, so the LP optimum is attained at one.  Every other pair (float weights, unequal counts or support
-    sizes) runs the priced LP ``_transport_lp``.  Neither route uses a
-    closed form.
+    matrices divided by n, so the LP optimum is attained at one.  Every other
+    pair (float weights, unequal counts or support sizes) runs the priced LP
+    ``_transport_lp``.  Neither route uses a closed form.
     """
     D = system._kernel_matrix(mu.states(system), nu.states(system))
     n = mu.support_size
@@ -277,11 +275,8 @@ def _transport_lp(D: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> float:
     active = _w1_seed(D, wa, wb)
     while True:
         rows, cols = np.nonzero(active)
-        # column k of the restricted LP has a one in row rows[k] and in m + cols[k]
-        A = sparse.csc_array((np.ones(2 * len(rows)),
-                              np.stack([rows, m + cols], axis=1).ravel(),
-                              np.arange(0, 2 * len(rows) + 1, 2)), shape=(m + n, len(rows)))
-        res = linprog(D[rows, cols], A_eq=A, b_eq=b, bounds=(0, None), method="highs",
+        res = linprog(D[rows, cols], A_eq=_pair_incidence(rows, cols, m, n), b_eq=b,
+                      bounds=(0, None), method="highs",
                       options={"presolve": False, "dual_feasibility_tolerance": 1e-10})
         if not res.success:
             raise RuntimeError(f"transportation solve failed: {res.message}")
@@ -290,6 +285,14 @@ def _transport_lp(D: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> float:
         if not entering.any():
             return float(res.fun)
         active |= entering
+
+
+def _pair_incidence(rows: np.ndarray, cols: np.ndarray, m: int, n: int) -> sparse.csc_array:
+    """The (m + n) x k matrix whose column k has a one in row rows[k] and in
+    row m + cols[k]: the supply and demand rows that the pair (rows[k],
+    cols[k]) of an m x n transport or flow problem enters."""
+    return sparse.csc_array((np.ones(2 * len(rows)), np.stack([rows, m + cols], axis=1).ravel(),
+                             np.arange(0, 2 * len(rows) + 1, 2)), shape=(m + n, len(rows)))
 
 
 def _w1_seed(D: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
@@ -425,11 +428,13 @@ def prokhorov(mu: DiscreteMeasure, nu: DiscreteMeasure,
       value unchanged, so no distance matrix is built;
     * line: a greedy sweep over the sorted atoms of both measures
       (``_line_unsent``);
-    * circle and products: a max flow on the admissible pairs (``_flow_unsent``).
+    * circle and products: a max flow on the admissible pairs (``_flow_unsent``),
+      scipy's integer max flow on counts and a HiGHS LP on float weights.
 
     Masses are in the unit of ``_masses``.  When both measures keep counts
     with least common total below 2**31, every rule sums integers and def(t)
-    is one division, so the value is correctly rounded.
+    is one division, so the value is correctly rounded; otherwise the value
+    is exact up to float sums and the LP's tolerances.
     """
     return _breakpoint_search(*_deficiency(mu, nu, system))
 
@@ -492,10 +497,11 @@ def _flow_unsent(D: np.ndarray, wa: np.ndarray, wb: np.ndarray, total):
 
     Integer masses (total below 2**31, the int32 capacities scipy works in)
     run scipy's max flow, each admissible pair an arc of capacity ``total``,
-    so the flow is exact; float weights (total 1) run Dinic's algorithm.
+    so the flow is exact; float weights (total 1) solve the flow as one
+    HiGHS LP (``_max_flow_lp``).
     """
     if wa.dtype.kind == "f":
-        return lambda t: total - _max_flow_bipartite(wa, wb, *np.nonzero(D <= t))
+        return lambda t: total - _max_flow_lp(wa, wb, *np.nonzero(D <= t))
     m, n = D.shape
     sink = m + n + 1
     # node 0 is the source, 1..m the atoms of mu, m+1..m+n those of nu
@@ -567,77 +573,19 @@ def _line_unsent(xs: list, ws: list, ys: list, vs: list, t: float):
     return unsent
 
 
-def _max_flow_bipartite(wa: np.ndarray, wb: np.ndarray,
-                        rows: np.ndarray, cols: np.ndarray) -> float:
-    """Max flow from supplies ``wa`` to demands ``wb`` along admissible pairs.
-
-    Dinic's algorithm on the 4-layer network; interior arcs get capacity 2,
-    which no feasible flow can saturate since total supply is 1.
-    """
-    m, n = len(wa), len(wb)
-    src, snk = 0, 1 + m + n
-    adj: list[list[int]] = [[] for _ in range(m + n + 2)]
-    to: list[int] = []
-    cap: list[float] = []
-
-    def add_edge(a: int, b: int, c: float) -> None:
-        adj[a].append(len(to)); to.append(b); cap.append(c)
-        adj[b].append(len(to)); to.append(a); cap.append(0.0)
-
-    for i in range(m):
-        add_edge(src, 1 + i, float(wa[i]))
-    for j in range(n):
-        add_edge(1 + m + j, snk, float(wb[j]))
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        add_edge(1 + i, 1 + m + j, 2.0)
-
-    total = 0.0
-    while True:
-        level = [-1] * len(adj)
-        level[src] = 0
-        queue = [src]
-        for node in queue:
-            for e in adj[node]:
-                if cap[e] > _FLOW_EPS and level[to[e]] < 0:
-                    level[to[e]] = level[node] + 1
-                    queue.append(to[e])
-        if level[snk] < 0:
-            return total
-        ptr = [0] * len(adj)
-        while True:
-            pushed = _dinic_dfs(src, snk, np.inf, adj, to, cap, level, ptr)
-            if pushed <= 0.0:
-                break
-            total += pushed
-
-
-def _dinic_dfs(node: int, snk: int, limit: float, adj, to, cap, level, ptr) -> float:
-    # iterative blocking-flow step along the level graph
-    stack = [(node, limit)]
-    path: list[int] = []
-    while stack:
-        cur, lim = stack[-1]
-        if cur == snk:
-            for e in path:
-                cap[e] -= lim
-                cap[e ^ 1] += lim
-            return lim
-        advanced = False
-        while ptr[cur] < len(adj[cur]):
-            e = adj[cur][ptr[cur]]
-            nxt = to[e]
-            if cap[e] > _FLOW_EPS and level[nxt] == level[cur] + 1:
-                stack.append((nxt, min(lim, cap[e])))
-                path.append(e)
-                advanced = True
-                break
-            ptr[cur] += 1
-        if not advanced:
-            level[cur] = -1
-            stack.pop()
-            if path:
-                path.pop()
-    return 0.0
+def _max_flow_lp(wa: np.ndarray, wb: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> float:
+    """Max flow from supplies ``wa`` to demands ``wb`` along the pairs
+    (rows[k], cols[k]), as one LP solved by the HiGHS dual simplex: maximise
+    the sum of the pair flows, each at least 0, with row sums at most ``wa``
+    and column sums at most ``wb``.  Presolve is off: it slowed these solves."""
+    if not len(rows):
+        return 0.0
+    res = linprog(-np.ones(len(rows)), A_ub=_pair_incidence(rows, cols, len(wa), len(wb)),
+                  b_ub=np.concatenate([wa, wb]), bounds=(0, None), method="highs-ds",
+                  options={"presolve": False})
+    if not res.success:
+        raise RuntimeError(f"max flow solve failed: {res.message}")
+    return -res.fun
 
 
 def prokhorov_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure,

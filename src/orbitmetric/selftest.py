@@ -84,9 +84,9 @@ def _check_closed_forms(rng: np.random.Generator) -> str | None:
 
 
 def _check_prokhorov(rng: np.random.Generator) -> str | None:
-    # one system per deficiency rule: line sweep, Dinic flow on the circle's
-    # float weights, shift cylinder surplus; then scipy's integer flow on the
-    # circle's counts
+    # one system per deficiency rule: line sweep, HiGHS flow LP on the
+    # circle's float weights, shift cylinder surplus; then scipy's integer
+    # flow on the circle's counts
     routes = [(systems.DoublingMap(), lambda k: rng.random(k)),
               (systems.CircleRotation(alpha=0.3), lambda k: rng.random(k)),
               (systems.BinaryShift(3),
@@ -100,16 +100,16 @@ def _check_prokhorov(rng: np.random.Generator) -> str | None:
                       - measures.prokhorov_oracle(mu, nu, system))
             if gap > 1e-9:
                 return f"{system.geometry} route vs subset oracle off by {gap:.2e}"
-    # fixed orbit prefixes (no random draws), against the Dinic flow
+    # fixed orbit prefixes (no random draws), against the flow LP
     rot = systems.CircleRotation(alpha=0.6180339887)
     mu = measures.empirical_measure(rot.orbit_segment(0.1, 90))
     nu = measures.empirical_measure(rot.orbit_segment(0.1, 200))
     D = rot.pairwise_dist(mu.atoms, nu.atoms)
-    dinic = measures._breakpoint_search(
+    lp_flow = measures._breakpoint_search(
         D, measures._flow_unsent(D, mu.weights, nu.weights, 1))
-    gap = abs(measures.prokhorov(mu, nu, rot) - dinic)
+    gap = abs(measures.prokhorov(mu, nu, rot) - lp_flow)
     if gap > 1e-12:
-        return f"counted circle flow vs Dinic off by {gap:.2e}"
+        return f"counted circle flow vs flow LP off by {gap:.2e}"
     a, b = measures.DiscreteMeasure.dirac(0.1), measures.DiscreteMeasure.dirac(0.9)
     if measures.prokhorov(a, b, systems.DoublingMap()) != 0.8:
         return "dirac pair is not exact"

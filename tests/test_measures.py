@@ -684,8 +684,8 @@ def test_prokhorov_oracle_support_guard():
 
 
 def _flow_prokhorov(mu, nu, system):
-    """Prokhorov through the Dinic flow on the float weights, the oracle of
-    every other route."""
+    """Prokhorov through the HiGHS flow LP on the float weights, the oracle
+    of every other route."""
     D = system.pairwise_dist(mu.atoms, nu.atoms)
     return measures._breakpoint_search(
         D, measures._flow_unsent(D, mu.weights, nu.weights, 1))
@@ -737,7 +737,25 @@ def _route_cases(rng):
     yield rot, empirical_measure(seg.prefix(9)), _random_measure(rng)
 
 
-def test_line_and_shift_routes_match_dinic_flow():
+def _edge_weight_cases(rng):
+    """Float pairs on the circle and rotation x tent whose measures each put
+    weight exactly 0.0 on one atom and -1e-16, which the constructor still
+    accepts, on another: capacities the flow LP must take as empty."""
+    rot = CircleRotation(0.6180339887498949)
+    for system in (rot, ProductSystem(rot, TentMap())):
+        for _ in range(6):
+            pair = []
+            for k in rng.integers(3, 9, 2):
+                weights = rng.dirichlet(np.ones(k))
+                weights[:2] = 0.0
+                weights /= weights.sum()
+                weights[1] = -1e-16
+                atoms = [sample_point(system, rng) for _ in range(k)]
+                pair.append(DiscreteMeasure(atoms, weights))
+            yield system, *pair
+
+
+def test_line_and_shift_routes_match_lp_flow():
     for system, mu, nu in _route_cases(np.random.default_rng(27)):
         assert prokhorov(mu, nu, system) == pytest.approx(
             _flow_prokhorov(mu, nu, system), abs=1e-12)
@@ -745,7 +763,8 @@ def test_line_and_shift_routes_match_dinic_flow():
 
 def test_line_and_shift_routes_match_subset_oracle():
     checked = 0
-    for system, mu, nu in _route_cases(np.random.default_rng(28)):
+    rng = np.random.default_rng(28)
+    for system, mu, nu in itertools.chain(_route_cases(rng), _edge_weight_cases(rng)):
         if mu.support_size <= ORACLE_SUPPORT_LIMIT:
             assert prokhorov(mu, nu, system) == pytest.approx(
                 prokhorov_oracle(mu, nu, system), abs=1e-12)
@@ -781,20 +800,20 @@ def test_prokhorov_of_equal_length_empiricals_is_least_threshold_fraction():
 
 
 def test_only_circle_and_products_build_a_flow_network(monkeypatch):
-    # the Dinic flow runs only where a circle or product measure has no counts
+    # the flow LP runs only where a circle or product measure has no counts
     def no_flow(*args):
         raise AssertionError("flow network built")
-    monkeypatch.setattr(measures, "_max_flow_bipartite", no_flow)
-    dinic = 0
+    monkeypatch.setattr(measures, "_max_flow_lp", no_flow)
+    lp_flows = 0
     for system, mu, nu in _route_cases(np.random.default_rng(30)):
         if (system.geometry in (GEOMETRY_CIRCLE, GEOMETRY_PRODUCT)
                 and (mu.counts is None or nu.counts is None)):
             with pytest.raises(AssertionError, match="flow network built"):
                 prokhorov(mu, nu, system)
-            dinic += 1
+            lp_flows += 1
         else:
             prokhorov(mu, nu, system)
-    assert dinic == 1
+    assert lp_flows == 1
     mu, nu = DiscreteMeasure([0.1, 0.6], [0.5, 0.5]), DiscreteMeasure.dirac(0.3)
     with pytest.raises(AssertionError, match="flow network built"):
         prokhorov(mu, nu, CircleRotation(0.3))
@@ -802,19 +821,19 @@ def test_only_circle_and_products_build_a_flow_network(monkeypatch):
 
 def test_counted_flow_runs_only_below_the_int32_scale(monkeypatch):
     # scipy's max flow wraps capacities past int32 without an error, so
-    # counts whose least common total reaches 2**31 go to the Dinic flow:
+    # counts whose least common total reaches 2**31 go to the flow LP:
     # lcm(46349, 46331) = 2,147,395,519 < 2**31 <= lcm(46349, 46351)
-    dinic_runs = []
-    max_flow = measures._max_flow_bipartite
-    monkeypatch.setattr(measures, "_max_flow_bipartite",
-                        lambda *args: dinic_runs.append(1) or max_flow(*args))
+    lp_runs = []
+    max_flow = measures._max_flow_lp
+    monkeypatch.setattr(measures, "_max_flow_lp",
+                        lambda *args: lp_runs.append(1) or max_flow(*args))
     rot = CircleRotation(0.3)
     mu = DiscreteMeasure.from_counts([0.1, 0.5], [46000, 349])
     for total, counted in ((46331, True), (46351, False)):
         nu = DiscreteMeasure.from_counts([0.12, 0.6], [total - 9000, 9000])
-        dinic_runs.clear()
+        lp_runs.clear()
         got = prokhorov(mu, nu, rot)
-        assert (not dinic_runs) == counted
+        assert (not lp_runs) == counted
         assert got == pytest.approx(_flow_prokhorov(mu, nu, rot), abs=1e-12)
         assert got > 0.1
 
