@@ -9,12 +9,13 @@ geometries; and the exact one-sided Prokhorov metric.  Prokhorov runs one
 monotone search over the thresholds (``_breakpoint_search``) on every
 geometry, and the geometry gives only its deficiency rule: the shift sums
 the surplus over the cylinders of its ultrametric (``_cylinder_surplus``),
-the line runs a greedy sweep (``_line_unsent``) and the circle and products
-a maximum flow (``_flow_unsent``), all in the mass unit ``_masses`` picks:
+the line runs a greedy sweep (``_line_unsent``), the circle one recurrence
+over the arcs within reach of each atom (``_arc_unsent``), and products a
+maximum flow (``_flow_unsent``), all in the mass unit ``_masses`` picks:
 integer counts when both measures keep them (empirical measures do), so the
-value is correctly rounded, and float weights otherwise, where the circle and
-products solve each flow as one HiGHS LP.  ``prokhorov_oracle`` and the float
-flow check the other routes.
+value is correctly rounded, and float weights otherwise, where products solve
+each flow as one HiGHS LP.  ``prokhorov_oracle`` and the float flow check the
+other routes.
 ``_deficiency`` is the one geometry dispatch; def changes only at support
 distances, so ``omega_hat_estimate`` tests rho <= c as def(c) <= c, no search.
 Delta_n of two length-n orbits is n times the deficiency of their
@@ -428,7 +429,10 @@ def prokhorov(mu: DiscreteMeasure, nu: DiscreteMeasure,
       value unchanged, so no distance matrix is built;
     * line: a greedy sweep over the sorted atoms of both measures
       (``_line_unsent``);
-    * circle and products: a max flow on the admissible pairs (``_flow_unsent``),
+    * circle: the atoms of nu within t of an atom of mu form one circular run
+      whose ends rise with the atom, so one recurrence over mu's atoms gives
+      def(t) (``_arc_unsent``), with no flow network;
+    * products: a max flow on the admissible pairs (``_flow_unsent``),
       scipy's integer max flow on counts and a HiGHS LP on float weights.
 
     Masses are in the unit of ``_masses``.  When both measures keep counts
@@ -452,6 +456,8 @@ def _deficiency(mu: DiscreteMeasure, nu: DiscreteMeasure, system: _systems.Syste
     if system.geometry == _systems.GEOMETRY_LINE:
         sides = (sa.tolist(), wa.tolist(), sb.tolist(), wb.tolist())
         return D, lambda t: _line_unsent(*sides, t) / total
+    if system.geometry == _systems.GEOMETRY_CIRCLE:
+        return D, _arc_unsent(D, wa, wb, total)
     return D, _flow_unsent(D, wa, wb, total)
 
 
@@ -498,7 +504,9 @@ def _flow_unsent(D: np.ndarray, wa: np.ndarray, wb: np.ndarray, total):
     Integer masses (total below 2**31, the int32 capacities scipy works in)
     run scipy's max flow, each admissible pair an arc of capacity ``total``,
     so the flow is exact; float weights (total 1) solve the flow as one
-    HiGHS LP (``_max_flow_lp``).
+    HiGHS LP (``_max_flow_lp``).  Products run it at every probe; the circle
+    runs ``_arc_unsent`` and comes here only at a probe whose pairs are not
+    arcs with rising ends, which rounding alone could cause.
     """
     if wa.dtype.kind == "f":
         return lambda t: total - _max_flow_lp(wa, wb, *np.nonzero(D <= t))
@@ -571,6 +579,76 @@ def _line_unsent(xs: list, ws: list, ys: list, vs: list, t: float):
                 j += 1
         unsent += w
     return unsent
+
+
+def _arc_unsent(D: np.ndarray, wa: np.ndarray, wb: np.ndarray, total):
+    """t -> the share of ``wa`` that a maximum flow to ``wb`` along the pairs
+    with D <= t leaves unsent, where the rows and columns of ``D`` are two
+    measures' atoms on the circle in ascending order.
+
+    Each row's pairs then form one circular run of columns [L_i, R_i), read
+    off ``D <= t``, whose ends rise with the row.  The unsent mass is the
+    largest mu(S) - nu(N(S)) over sets S of rows.  A row with no pair is
+    always in S, and a row with every pair never: such an S leaves at most
+    mu's total minus nu's, which is 0.  The rest of an optimal S splits into
+    runs [p..q] of consecutive rows with disjoint neighbourhoods [L_p, R_q),
+    so the mass is the best total of A(p) + B(q) over disjoint runs, with
+    A(p) = C(L_p) - M_p and B(q) = M_{q+1} - C(R_q) for the cumulative masses
+    M of the rows and C of the columns, both lifted periodically so that a
+    run may wrap (in the spirit of circular convex bipartite matching, Liang
+    & Blum 1995).  One pass of the recurrence over the rows starts outside a
+    run; a second starts inside the run that wraps and closes it a lap on.
+    Masses stay in their unit, so counts give an exact integer.  A probe
+    whose row pairs are not one run, or whose lifted ends fall, which only
+    rounding could cause, goes to ``_flow_unsent``.
+    """
+    m, n = D.shape
+    flow = _flow_unsent(D, wa, wb, total)
+    # C over three laps: lifted starts lie below 2n and ends below 3n
+    lifted = np.concatenate([[0], np.cumsum(np.tile(wb, 3))])
+
+    def unsent(t: float):
+        mask = D <= t
+        # a run starts at a column that is in while the one before it, cyclically,
+        # is out, and ends at one that is out while the one before it is in
+        before = np.roll(mask, 1, axis=1)
+        starts, ends = np.flatnonzero(mask > before), np.flatnonzero(before > mask)
+        rows = starts // n
+        # a row with no run start has no pair or every pair
+        flat = np.ones(m, dtype=bool)
+        flat[rows] = False
+        empty = wa[flat & ~mask[:, 0]].sum().item()
+        if not len(rows):
+            return empty / total
+        if (rows[1:] == rows[:-1]).any():
+            return flow(t)
+        L = starts - rows * n
+        R = L + (ends - starts) % n
+        # lift each row by the fewest laps that keep both ends from falling:
+        # ceil(back / n), as back < 2n
+        back = np.maximum(L[:-1] - L[1:], R[:-1] - R[1:])
+        laps = np.concatenate([[0], np.cumsum((back > 0).astype(np.int64) + (back > n))]) * n
+        L += laps
+        R += laps
+        if L[-1] > L[0] + n or R[-1] > R[0] + n:
+            return flow(t)
+        M = np.concatenate([[0], np.cumsum(wa[rows])])
+        A, B = (lifted[L] - M[:-1]).tolist(), (M[1:] - lifted[R]).tolist()
+        _, outside = _best_runs(A, B, -math.inf, 0)
+        inside, _ = _best_runs(A, B, 0, -math.inf)
+        return (empty + max(outside, inside + (M[-1] - lifted[n]).item())) / total
+    return unsent
+
+
+def _best_runs(A: list, B: list, inside, outside):
+    """The best totals of A(p) + B(q) over disjoint runs [p..q] after the
+    last row, ending inside a run and outside one, from the given start."""
+    for a, b in zip(A, B):
+        if outside + a > inside:
+            inside = outside + a
+        if inside + b > outside:
+            outside = inside + b
+    return inside, outside
 
 
 def _max_flow_lp(wa: np.ndarray, wb: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> float:

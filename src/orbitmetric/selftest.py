@@ -84,14 +84,14 @@ def _check_closed_forms(rng: np.random.Generator) -> str | None:
 
 
 def _check_prokhorov(rng: np.random.Generator) -> str | None:
-    # one system per deficiency rule: line sweep, HiGHS flow LP on the
-    # circle's float weights, shift cylinder surplus; then scipy's integer
-    # flow on the circle's counts
-    routes = [(systems.DoublingMap(), lambda k: rng.random(k)),
-              (systems.CircleRotation(alpha=0.3), lambda k: rng.random(k)),
-              (systems.BinaryShift(3),
+    # one system per deficiency rule: line sweep, the circle's arc rule on
+    # float weights, shift cylinder surplus; then the arc rule on the
+    # circle's counts against the flow LP
+    routes = [("line sweep", systems.DoublingMap(), lambda k: rng.random(k)),
+              ("circle arc rule", systems.CircleRotation(alpha=0.3), lambda k: rng.random(k)),
+              ("shift cylinder surplus", systems.BinaryShift(3),
                lambda k: list(map(tuple, rng.integers(0, 2, (k, 3)).tolist())))]
-    for system, atoms in routes:
+    for rule, system, atoms in routes:
         for _ in range(10):
             m, n = int(rng.integers(1, 8)), int(rng.integers(1, 8))
             mu = measures.DiscreteMeasure(atoms(m), rng.dirichlet(np.ones(m)))
@@ -99,7 +99,7 @@ def _check_prokhorov(rng: np.random.Generator) -> str | None:
             gap = abs(measures.prokhorov(mu, nu, system)
                       - measures.prokhorov_oracle(mu, nu, system))
             if gap > 1e-9:
-                return f"{system.geometry} route vs subset oracle off by {gap:.2e}"
+                return f"{rule} vs subset oracle off by {gap:.2e}"
     # fixed orbit prefixes (no random draws), against the flow LP
     rot = systems.CircleRotation(alpha=0.6180339887)
     mu = measures.empirical_measure(rot.orbit_segment(0.1, 90))
@@ -109,7 +109,7 @@ def _check_prokhorov(rng: np.random.Generator) -> str | None:
         D, measures._flow_unsent(D, mu.weights, nu.weights, 1))
     gap = abs(measures.prokhorov(mu, nu, rot) - lp_flow)
     if gap > 1e-12:
-        return f"counted circle flow vs flow LP off by {gap:.2e}"
+        return f"counted circle arc rule vs flow LP off by {gap:.2e}"
     a, b = measures.DiscreteMeasure.dirac(0.1), measures.DiscreteMeasure.dirac(0.9)
     if measures.prokhorov(a, b, systems.DoublingMap()) != 0.8:
         return "dirac pair is not exact"

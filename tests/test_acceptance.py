@@ -129,6 +129,15 @@ def test_prokhorov_flow_matches_subset_oracle():
         mu = _random_measure(rng, 8)
         nu = _random_measure(rng, 8)
         worst = max(worst, abs(prokhorov(mu, nu, tent) - prokhorov_oracle(mu, nu, tent)))
+    # the circle's arc rule, on float weights and on counted orbit prefixes
+    circle = CircleRotation(GOLDEN)
+    for _ in range(50):
+        counted = [empirical_measure(circle.orbit_segment(float(rng.random()),
+                                                          int(rng.integers(1, 13))))
+                   for _ in range(2)]
+        for mu, nu in ((_random_measure(rng, 12), _random_measure(rng, 12)), counted):
+            worst = max(worst, abs(prokhorov(mu, nu, circle)
+                                   - prokhorov_oracle(mu, nu, circle)))
     from orbitmetric import DiscreteMeasure
     dirac_exact = True
     for a, b in ((0.0, 0.4), (0.9, 0.1), (0.5, 0.5)):
@@ -136,7 +145,7 @@ def test_prokhorov_flow_matches_subset_oracle():
         dirac_exact = dirac_exact and got == min(abs(a - b), 1.0)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and dirac_exact
-    _report(4, "prokhorov line sweep equals subset oracle", ok, elapsed, budget)
+    _report(4, "prokhorov line sweep and circle arc rule equal subset oracle", ok, elapsed, budget)
     assert worst <= 1e-9, f"worst deviation {worst}"
     assert dirac_exact
     assert elapsed < budget

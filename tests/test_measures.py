@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -783,7 +784,8 @@ def test_identical_measures_vanish_on_line_and_shift_routes():
 def test_prokhorov_of_equal_length_empiricals_is_least_threshold_fraction():
     # Delta_n(x, y, t) = n * def_t(mu, nu) for the length-n empirical measures:
     # both are what a maximum flow along the pairs within t leaves unsent.
-    # On the circle and products this pits scipy's flow against the matching.
+    # This pits the circle's arc rule and the products' scipy flow against
+    # the matching.
     rng = np.random.default_rng(31)
     rot = CircleRotation(0.6180339887498949)
     for system in (LogisticMap(4.0), TentMap(), BinaryShift(5), BinaryShift(30), rot,
@@ -799,24 +801,29 @@ def test_prokhorov_of_equal_length_empiricals_is_least_threshold_fraction():
             assert prokhorov(mu, nu, system) == pytest.approx(least, abs=1e-12)
 
 
-def test_only_circle_and_products_build_a_flow_network(monkeypatch):
-    # the flow LP runs only where a circle or product measure has no counts
-    def no_flow(*args):
+def test_only_products_build_a_flow_network(monkeypatch):
+    # the circle runs the arc rule on counts and float weights alike; only
+    # products solve a flow, scipy's integer flow or the flow LP
+    def no_flow(*args, **kwargs):
         raise AssertionError("flow network built")
     monkeypatch.setattr(measures, "_max_flow_lp", no_flow)
-    lp_flows = 0
-    for system, mu, nu in _route_cases(np.random.default_rng(30)):
-        if (system.geometry in (GEOMETRY_CIRCLE, GEOMETRY_PRODUCT)
-                and (mu.counts is None or nu.counts is None)):
+    monkeypatch.setattr(measures, "maximum_flow", no_flow)
+    rng = np.random.default_rng(30)
+    flows, circles = 0, []
+    for system, mu, nu in itertools.chain(_route_cases(rng), _edge_weight_cases(rng)):
+        if system.geometry == GEOMETRY_PRODUCT:
             with pytest.raises(AssertionError, match="flow network built"):
                 prokhorov(mu, nu, system)
-            lp_flows += 1
+            flows += 1
         else:
             prokhorov(mu, nu, system)
-    assert lp_flows == 1
+            if system.geometry == GEOMETRY_CIRCLE:
+                circles.append(mu.counts is not None and nu.counts is not None)
+    assert flows == 14
+    assert circles.count(True) == 11 and circles.count(False) == 7
     mu, nu = DiscreteMeasure([0.1, 0.6], [0.5, 0.5]), DiscreteMeasure.dirac(0.3)
-    with pytest.raises(AssertionError, match="flow network built"):
-        prokhorov(mu, nu, CircleRotation(0.3))
+    assert prokhorov(mu, nu, CircleRotation(0.3)) == pytest.approx(
+        prokhorov_oracle(mu, nu, CircleRotation(0.3)), abs=1e-12)
 
 
 def test_counted_flow_runs_only_below_the_int32_scale(monkeypatch):
@@ -827,15 +834,84 @@ def test_counted_flow_runs_only_below_the_int32_scale(monkeypatch):
     max_flow = measures._max_flow_lp
     monkeypatch.setattr(measures, "_max_flow_lp",
                         lambda *args: lp_runs.append(1) or max_flow(*args))
-    rot = CircleRotation(0.3)
-    mu = DiscreteMeasure.from_counts([0.1, 0.5], [46000, 349])
+    product = ProductSystem(CircleRotation(0.3), TentMap())
+    mu = DiscreteMeasure.from_counts([(0.1, 0.2), (0.5, 0.7)], [46000, 349])
     for total, counted in ((46331, True), (46351, False)):
-        nu = DiscreteMeasure.from_counts([0.12, 0.6], [total - 9000, 9000])
+        nu = DiscreteMeasure.from_counts([(0.12, 0.25), (0.6, 0.75)], [total - 9000, 9000])
         lp_runs.clear()
-        got = prokhorov(mu, nu, rot)
+        got = prokhorov(mu, nu, product)
         assert (not lp_runs) == counted
-        assert got == pytest.approx(_flow_prokhorov(mu, nu, rot), abs=1e-12)
+        assert got == pytest.approx(_flow_prokhorov(mu, nu, product), abs=1e-12)
         assert got > 0.1
+
+
+def _arc_cases(rng):
+    """Circle masses (D, wa, wb, total) for the arc rule, each pair in counts
+    and in float weights: dyadic-grid ties, nested orbit prefixes, one
+    measure on a short arc and the other around the circle (rows with no
+    pair and with every pair), Diracs; then float weights of 0.0 and -1e-16."""
+    rot = CircleRotation(0.6180339887498949)
+    seg = rot.orbit_segment(float(rng.random()), 30)
+    pairs = [(empirical_measure(seg.prefix(a)), empirical_measure(seg.prefix(b)))
+             for a, b in ((1, 7), (5, 8), (12, 5), (13, 21), (21, 13), (30, 29))]
+    for _ in range(10):
+        k, m = (int(v) for v in rng.integers(1, 13, 2))
+        pairs.append(tuple(DiscreteMeasure.from_counts(rng.integers(0, 16, size) / 16,
+                                                       rng.integers(1, 9, size))
+                           for size in (k, m)))
+    for _ in range(6):
+        arc = (rng.random() + 0.05 * rng.random(int(rng.integers(2, 6)))) % 1
+        around = rng.random(int(rng.integers(3, 10)))
+        short, wide = (DiscreteMeasure.from_counts(atoms, rng.integers(1, 9, len(atoms)))
+                       for atoms in (arc, around))
+        pairs += [(short, wide), (wide, short)]
+    one, other = DiscreteMeasure.dirac(0.875), pairs[-1][0]
+    pairs += [(one, other), (other, one), (one, DiscreteMeasure.dirac(0.125)), (one, one)]
+    for mu, nu in pairs:
+        D = rot._kernel_matrix(mu.states(rot), nu.states(rot))
+        yield (D, *measures._masses(mu, nu))
+        yield D, mu.weights, nu.weights, 1
+    for system, mu, nu in _edge_weight_cases(rng):
+        if system == rot:
+            yield rot._kernel_matrix(mu.states(rot), nu.states(rot)), mu.weights, nu.weights, 1
+
+
+def test_arc_rule_matches_the_flow_at_every_threshold(monkeypatch):
+    # counts exactly, float weights within 1e-12, and no probe falls back
+    flow_unsent, fallbacks = measures._flow_unsent, []
+
+    def counted_flow(*args):
+        flow = flow_unsent(*args)
+        return lambda t: fallbacks.append(t) or flow(t)
+    monkeypatch.setattr(measures, "_flow_unsent", counted_flow)
+    seen = Counter()
+    for D, wa, wb, total in _arc_cases(np.random.default_rng(32)):
+        arc, flow = measures._arc_unsent(D, wa, wb, total), flow_unsent(D, wa, wb, total)
+        for t in np.unique(np.concatenate([[0.0, 0.5, 0.75], D.ravel()])).tolist():
+            if wa.dtype.kind == "f":
+                assert arc(t) == pytest.approx(flow(t), abs=1e-12)
+            else:
+                assert arc(t) == flow(t)
+            pairs = np.count_nonzero(D <= t, axis=1)
+            seen[wa.dtype.kind] += 1
+            seen["beyond half"] += t >= 0.5
+            seen["single atom"] += 1 in D.shape
+            seen["empty and full rows"] += (pairs == 0).any() and (pairs == D.shape[1]).any()
+            seen["zero weight"] += (wa == 0.0).any() and (wb == -1e-16).any()
+    assert not fallbacks
+    assert min(seen.values()) >= 50 and seen["i"] > 400 and seen["f"] > 400
+    # a row whose pairs are two runs, and rows whose runs go round twice
+    # (starts 0, 2, 1, 3 of four), take the flow and still equal it
+    two_runs = np.where([[1, 0, 1, 0], [0, 1, 0, 0]], 0.0, 0.4)
+    twice_round = np.where(np.eye(4, dtype=bool)[[0, 2, 1, 3]], 0.0, 0.4)
+    for D, wa, wb in ((two_runs, [3, 2], [1, 1, 2, 1]), (twice_round, [1, 2, 3, 4], [4, 3, 2, 1])):
+        total = sum(wa)
+        for masses, tol in (((np.array(wa), np.array(wb), total), 0.0),
+                            ((np.array(wa) / total, np.array(wb) / total, 1), 1e-12)):
+            fallbacks.clear()
+            got = measures._arc_unsent(D, *masses)(0.0)
+            assert fallbacks == [0.0]
+            assert got > 0 and abs(got - flow_unsent(D, *masses)(0.0)) <= tol
 
 
 def _deficiency_cases(rng):
