@@ -21,12 +21,14 @@ distances, so ``omega_hat_estimate`` tests rho <= c as def(c) <= c, no search.
 Delta_n of two length-n orbits is n times the deficiency of their
 empirical measures, and ``pseudometrics`` counts it with the same two rules.
 Distances read atoms only through ``DiscreteMeasure.states``, validated once
-per system; empirical measures start with their orbit's states.
+per system.  Empirical measures, products included, start with their orbit's
+distinct states, taken from one sort of the full orbit that every prefix
+shares, and build the ``atoms`` tuple only when it is read, which only the
+oracles do.
 """
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,12 +67,13 @@ class DiscreteMeasure:
     those; weights are non-negative and sum to one within WEIGHT_SUM_TOL.  A
     measure built by ``from_counts`` also keeps its integer ``counts``, with
     weights = counts / counts.sum(); one built from float weights has
-    ``counts = None``.  Instances are immutable by convention.  ``states``
-    validates atoms once per system; empirical measures begin with their
-    orbit's states.
+    ``counts = None``.  Instances are immutable: ``atoms`` is a read-only
+    property.  ``states`` validates atoms once per system.  An empirical
+    measure begins with its orbit's states and builds the ``atoms`` tuple
+    from them only when it is first read, which no distance does.
     """
 
-    __slots__ = ("atoms", "weights", "counts", "_kept")
+    __slots__ = ("_atoms", "weights", "counts", "_kept")
 
     def __init__(self, atoms, weights) -> None:
         weights = np.asarray(weights, dtype=np.float64)
@@ -85,7 +88,7 @@ class DiscreteMeasure:
             raise ValueError("weights must be non-negative")
         if abs(float(weights.sum()) - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError("weights must sum to 1")
-        self.atoms, merged = _merge_atoms(atoms, weights.tolist())
+        self._atoms, merged = _merge_atoms(atoms, weights.tolist())
         self.weights = np.asarray(merged, dtype=np.float64)
         self.counts = self._kept = None
 
@@ -102,11 +105,16 @@ class DiscreteMeasure:
             raise ValueError("counts must be integers")
         if (counts < 0).any() or counts.sum() == 0:
             raise ValueError("counts must be non-negative with a positive sum")
+        atoms, merged = _merge_atoms(atoms, counts.tolist())
+        return cls._counted(atoms, np.asarray(merged, dtype=np.int64), None)
+
+    @classmethod
+    def _counted(cls, atoms, counts: np.ndarray, kept) -> "DiscreteMeasure":
+        """Measure on sorted distinct ``atoms`` (None: built from ``kept`` on
+        first read) with int64 ``counts``, unchecked."""
         self = cls.__new__(cls)
-        self.atoms, merged = _merge_atoms(atoms, counts.tolist())
-        self.counts = np.asarray(merged, dtype=np.int64)
-        self.weights = self.counts / self.counts.sum()
-        self._kept = None
+        self._atoms, self.counts, self._kept = atoms, counts, kept
+        self.weights = counts / counts.sum()
         return self
 
     @classmethod
@@ -114,8 +122,15 @@ class DiscreteMeasure:
         return cls.from_counts([atom], [1])
 
     @property
+    def atoms(self) -> tuple:
+        """The sorted distinct atoms, built from the kept states if not given."""
+        if self._atoms is None:
+            self._atoms = _atoms_of(*self._kept)
+        return self._atoms
+
+    @property
     def support_size(self) -> int:
-        return len(self.atoms)
+        return len(self.weights)
 
     def states(self, system: _systems.System):
         """The atoms as the state array of ``system._kernel``, kept per equal system."""
@@ -125,6 +140,15 @@ class DiscreteMeasure:
 
     def __repr__(self) -> str:
         return f"DiscreteMeasure({self.support_size} atoms)"
+
+
+def _atoms_of(system: _systems.System, states) -> tuple:
+    """The atoms whose states under ``system`` are ``states``, as Python values:
+    floats, tuples of symbols for shift windows, and pairs on products."""
+    if system.geometry == _systems.GEOMETRY_PRODUCT:
+        return tuple(zip(_atoms_of(system.first, states[0]), _atoms_of(system.second, states[1])))
+    rows = states.tolist()
+    return tuple(map(tuple, rows)) if system.geometry == _systems.GEOMETRY_SHIFT else tuple(rows)
 
 
 def _merge_atoms(atoms: list, masses: list) -> tuple[tuple, list]:
@@ -200,25 +224,64 @@ def empirical_measure(seg: _systems.OrbitSegment) -> DiscreteMeasure:
     """Uniform measure on the first ``length`` orbit states, equal states merged.
 
     Shift states are merged iff their horizon-length windows agree, which is
-    exactly distance zero under the truncated metric.
+    exactly distance zero under the truncated metric.  The measure keeps the
+    distinct states, in atom order, as its state array and their integer
+    counts; it builds its ``atoms`` tuple only when that is read.
     """
     system = seg.system
-    n = seg.length
+    order, fresh = _sorted_runs(seg)
+    starts = np.flatnonzero(fresh)
+    states = _take(system._view(seg), order[starts])
+    return DiscreteMeasure._counted(None, np.diff(starts, append=seg.length), (system, states))
+
+
+def _sorted_runs(seg: _systems.OrbitSegment) -> tuple[np.ndarray, np.ndarray]:
+    """The orbit indices k < length in ascending order of their states, and
+    a mask of where each state in that order differs from the one before.
+
+    Line, circle and shift read one sort of the full orbit, shared by every
+    prefix view (``OrbitSegment.shared``): a prefix keeps its rows of it
+    through one index array and, on the shift, takes the split between two
+    kept windows as the least split between them.  Products sort their
+    factors' ranks lexicographically, which is the order of their pairs.
+    """
+    system, n = seg.system, seg.length
     if system.geometry == _systems.GEOMETRY_PRODUCT:
-        counts = Counter(seg.point(k) for k in range(n))
-        atoms = sorted(counts)
-        return DiscreteMeasure.from_counts(atoms, [counts[a] for a in atoms])
-    if system.geometry == _systems.GEOMETRY_SHIFT:
-        windows = system._view(seg)
-        order, split = _cylinder_order(windows)
-        starts = np.flatnonzero(np.concatenate([[True], split < system.horizon]))
-        states = windows[order[starts]]
-        meas = DiscreteMeasure.from_counts(map(tuple, states.tolist()), np.diff(starts, append=n))
-    else:
-        states, counts = np.unique(np.asarray(seg.data, dtype=np.float64), return_counts=True)
-        meas = DiscreteMeasure.from_counts(states.tolist(), counts)
-    meas._kept = (system, states)  # the orbit's own states, in atom order, need no check
-    return meas
+        ranks = [_ranks(factor) for factor in seg.data]
+        order = np.lexsort(ranks[::-1])
+        differ = np.zeros(n - 1, dtype=bool)
+        for r in ranks:
+            differ |= np.diff(r[order]) != 0
+        return order, np.concatenate([[True], differ])
+    order, split = seg.shared(_orbit_sort)
+    if n < len(order):
+        rows = np.flatnonzero(order < n)
+        order = order.take(rows)
+        if split is not None:
+            split = np.minimum.reduceat(split[:rows[-1]], rows[:-1])
+    differ = np.diff(seg.data.take(order)) != 0 if split is None else split < system.horizon
+    return order, np.concatenate([[True], differ])
+
+
+def _orbit_sort(seg: _systems.OrbitSegment) -> tuple[np.ndarray, np.ndarray | None]:
+    """The order of a line or circle orbit's states, with no splits, or
+    ``_cylinder_order`` of a shift orbit's windows."""
+    if seg.system.geometry == _systems.GEOMETRY_SHIFT:
+        return _cylinder_order(seg.system._view(seg))
+    return np.argsort(seg.data), None
+
+
+def _ranks(seg: _systems.OrbitSegment) -> np.ndarray:
+    """The rank of each orbit state among the segment's distinct states."""
+    order, fresh = _sorted_runs(seg)
+    ranks = np.empty(seg.length, dtype=np.intp)
+    ranks[order] = np.cumsum(fresh) - 1
+    return ranks
+
+
+def _take(states, rows: np.ndarray):
+    """The given rows of a state array, or of each factor's on products."""
+    return tuple(_take(s, rows) for s in states) if isinstance(states, tuple) else states[rows]
 
 
 # ---------------------------------------------------------------------------

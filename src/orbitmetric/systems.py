@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -222,13 +222,19 @@ class OrbitSegment:
 
     ``data`` holds a float array of positions for one-dimensional systems, a
     symbol array of length ``length + horizon`` for shifts (windows are views
-    into it), and a pair of factor segments for products.
+    into it), and a pair of factor segments for products.  ``shared`` gives
+    a value computed once from the full orbit, such as the sort of its
+    states that ``measures.empirical_measure`` reads, and every ``prefix``
+    view shares it.
     """
 
     system: "System"
     base: object
     length: int
     data: object
+    # the full orbit's segment and its values by builder, shared with every prefix view
+    _full: "OrbitSegment | None" = field(default=None, compare=False, repr=False)
+    _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def point(self, k: int):
         if not 0 <= k < self.length:
@@ -244,8 +250,18 @@ class OrbitSegment:
             raise ValueError(f"prefix length {m} out of range [1, {self.length}]")
         if m == self.length:
             return self
-        return OrbitSegment(self.system, self.base, m,
-                            self.system._prefix_data(self.data, m))
+        return OrbitSegment(self.system, self.base, m, self.system._prefix_data(self.data, m),
+                            self._full or self, self._memo)
+
+    def shared(self, build):
+        """``build(full)`` for the full orbit segment, computed on first use
+        and kept once a prefix view asks, so a segment alone keeps nothing."""
+        if build in self._memo:
+            return self._memo[build]
+        value = build(self._full or self)
+        if self._full is not None:
+            self._memo[build] = value
+        return value
 
 
 @dataclass(frozen=True)

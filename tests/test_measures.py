@@ -21,6 +21,7 @@ from orbitmetric import (
     SizeLimitError,
     delta_n,
     ebar_n,
+    empirical_equicontinuity,
     empirical_measure,
     example31_report,
     hausdorff_measures,
@@ -210,6 +211,77 @@ def test_kept_states_equal_the_validated_atoms(system, point):
             assert np.array_equal(a, b)
 
 
+def _types(value):
+    """The nested Python types of an atom."""
+    return tuple(map(_types, value)) if isinstance(value, tuple) else type(value)
+
+
+_SHIFT_X = ShiftPoint((0, 1, 1, 0, 1, 0, 0, 0, 1, 1, 1, 0, 1), (0, 1))
+
+
+@pytest.mark.parametrize("system, x, length, ties", [
+    (CircleRotation(0.1234), 0.37, 300, False),
+    (LogisticMap(4.0), 0.1234, 300, False),
+    (BinaryShift(30), _SHIFT_X, 300, True),
+    (ProductSystem(CircleRotation(0.3), LogisticMap(4.0)), (0.2, 0.7), 300, False),
+    (ProductSystem(CircleRotation(0.3), BinaryShift(5)), (0.2, _SHIFT_X), 300, False),
+    (ProductSystem(TentMap(), BinaryShift(3)), (0.3, _SHIFT_X), 300, True),
+    # float tent and doubling orbits reach 0 and stay there
+    (TentMap(), 0.3, 200, True),
+    (DoublingMap(), 0.7, 200, True),
+    (CircleRotation(0.0), 0.25, 50, True),
+    # windows of a period-3 tail repeat
+    (BinaryShift(4), ShiftPoint((0, 1, 1, 0, 1), (0, 1, 1)), 120, True),
+], ids=["circle", "logistic", "shift", "circle-logistic", "circle-shift", "tent-shift3",
+        "tent", "doubling", "rotation-by-0", "shift-period-3"])
+def test_empirical_measure_equals_the_public_constructor(system, x, length, ties):
+    seg = system.orbit_segment(x, length)
+    # out of order and repeated, against one segment and its one shared sort
+    for n in (1, length, 17, 5, length - 1, 17, 33, 1, length):
+        got = empirical_measure(seg.prefix(n))
+        want = DiscreteMeasure.from_counts(seg.prefix(n).points(), [1] * n)
+        assert got.support_size == want.support_size and repr(got) == repr(want)
+        assert got.counts.dtype == want.counts.dtype
+        assert got.counts.tolist() == want.counts.tolist()
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.atoms == want.atoms
+        assert list(map(_types, got.atoms)) == list(map(_types, want.atoms))
+    assert want.counts.max() > 1 or not ties
+
+
+def test_atoms_are_read_only():
+    meas = empirical_measure(CircleRotation(0.25).orbit_segment(0.0, 3))
+    for m in (meas, DiscreteMeasure([0.1, 0.2], [0.5, 0.5])):
+        with pytest.raises(AttributeError):
+            m.atoms = (0.5,)
+    assert meas.atoms == (0.0, 0.25, 0.5)
+
+
+@pytest.mark.parametrize("system, x, y", [
+    (CircleRotation(0.38197), 0.1, 0.45),
+    (LogisticMap(3.99), 0.1234, 0.4321),
+    (BinaryShift(30), ShiftPoint((0, 1, 1, 0, 1), (0, 1)), ShiftPoint((1, 1, 0), (1, 0, 0))),
+], ids=["circle", "logistic", "shift"])
+def test_the_request_path_builds_no_atoms_tuple(monkeypatch, system, x, y):
+    built = []
+    for name in ("_merge_atoms", "_atoms_of"):
+        real = getattr(measures, name)
+        monkeypatch.setattr(measures, name,
+                            lambda *args, name=name, real=real: built.append(name) or real(*args))
+    schedule = Schedule.geometric(300)
+    assert omega_distance(system, x, y, schedule).observations[0]["rho_hausdorff"] >= 0
+    report = empirical_equicontinuity(system, 0.01, 2, [40, 80, 160], seed=5)
+    assert len(report.observations) >= 6
+    mu = empirical_measure(system.orbit_segment(x, 120))
+    nu = empirical_measure(system.orbit_segment(y, 90).prefix(70))
+    assert 0 < prokhorov(mu, nu, system) <= 1
+    assert 0 < wasserstein1(mu, nu, system) <= 1
+    assert built == []
+    # the oracles read atoms, which each measure builds once, on first read
+    assert mu.atoms is mu.atoms and nu.atoms is nu.atoms
+    assert built == ["_atoms_of", "_atoms_of"]
+
+
 def test_kept_states_serve_an_equal_system_and_not_another():
     rng = np.random.default_rng(23)
     fine, coarse = BinaryShift(30), BinaryShift(3)
@@ -221,19 +293,27 @@ def test_kept_states_serve_an_equal_system_and_not_another():
         on_coarse = prokhorov(empirical_measure(coarse.orbit_segment(x, n)),
                               empirical_measure(coarse.orbit_segment(y, m)), coarse)
         assert on_fine == on_coarse
+    # another system validates the atoms, which a kept measure builds on first read
+    x = ShiftPoint(tuple(rng.integers(0, 2, 50).tolist()), (0, 1, 1))
+    seg = fine.orbit_segment(x, 120)
+    meas = empirical_measure(seg)
+    assert np.array_equal(meas.states(coarse), coarse._states(sorted(set(seg.points()))))
+    assert meas.atoms == tuple(sorted(set(seg.points())))
     # the logistic orbit of 1/2 visits 1.0, a line point the circle does not take
-    mu = empirical_measure(LogisticMap(4.0).orbit_segment(0.5, 3))
-    nu = empirical_measure(CircleRotation(0.25).orbit_segment(0.0, 4))
-    assert 1.0 in mu.atoms
-    for a, b in ((mu, nu), (nu, mu)):
+    for a, b in ((0, 1), (1, 0)):
+        pair = (empirical_measure(LogisticMap(4.0).orbit_segment(0.5, 3)),
+                empirical_measure(CircleRotation(0.25).orbit_segment(0.0, 4)))
         with pytest.raises(ValueError):
-            prokhorov(a, b, CircleRotation(0.25))
+            prokhorov(pair[a], pair[b], CircleRotation(0.25))
+        assert 1.0 in pair[0].atoms
 
 
 @pytest.mark.parametrize("system, x, y", [
     (BinaryShift(30), ShiftPoint((0, 1, 1, 0, 1), (0, 1)), ShiftPoint((1, 1, 0), (1, 0, 0))),
     (LogisticMap(4.0), 0.1234, 0.4321),
     (CircleRotation(0.3), 0.1, 0.45),
+    (ProductSystem(CircleRotation(0.3), BinaryShift(5)),
+     (0.1, ShiftPoint((0, 1, 1, 0, 1), (0, 1))), (0.45, ShiftPoint((1, 1, 0), (1, 0, 0)))),
 ])
 def test_empirical_measures_reach_the_kernel_without_validation(monkeypatch, system, x, y):
     def no_round_trip(self, atoms):
