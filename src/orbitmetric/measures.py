@@ -4,18 +4,19 @@ The measures here are finitely supported probability measures whose atoms
 are system states (numbers, symbol windows, or pairs).  Three distances are
 provided: exact Wasserstein-1, by the assignment solver for two uniform
 measures of equal support size and otherwise by the transportation LP, solved
-by column generation; exact closed-form Wasserstein-1 for one-dimensional
-geometries; and the exact one-sided Prokhorov metric.  Prokhorov runs one
-monotone search over the thresholds (``_breakpoint_search``) on every
-geometry, and the geometry gives only its deficiency rule: the shift sums
-the surplus over the cylinders of its ultrametric (``_cylinder_surplus``),
-the line runs a greedy sweep (``_line_unsent``), the circle one recurrence
-over the arcs within reach of each atom (``_arc_unsent``), and products a
-maximum flow (``_flow_unsent``), all in the mass unit ``_masses`` picks:
-integer counts when both measures keep them (empirical measures do), so the
-value is correctly rounded, and float weights otherwise, where products solve
-each flow as one HiGHS LP.  ``prokhorov_oracle`` and the float flow check the
-other routes.
+by column generation; exact closed-form Wasserstein-1 on the line and the
+circle (``_w1_line``, ``_w1_circle``, which ``pseudometrics`` also runs for
+ebar_n on the merged sort of two orbits); and the exact one-sided Prokhorov
+metric.  Prokhorov runs one monotone search over the thresholds
+(``_breakpoint_search``) on every geometry, and the geometry gives only its
+deficiency rule: the shift sums the surplus over the cylinders of its
+ultrametric (``_cylinder_surplus``), the line runs a greedy sweep
+(``_line_unsent``), the circle one recurrence over the arcs within reach of
+each atom (``_arc_unsent``), and products a maximum flow (``_flow_unsent``),
+all in the mass unit ``_masses`` picks: integer counts when both measures
+keep them (empirical measures do), so the value is correctly rounded, and
+float weights otherwise, where products solve each flow as one HiGHS LP.
+``prokhorov_oracle`` and the float flow check the other routes.
 ``_deficiency`` is the one geometry dispatch; def changes only at support
 distances, so ``omega_hat_estimate`` tests rho <= c as def(c) <= c, no search.
 Delta_n of two length-n orbits is n times the deficiency of their
@@ -384,49 +385,40 @@ def _w1_seed(D: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
 
 def wasserstein1_fast_1d(mu: DiscreteMeasure, nu: DiscreteMeasure,
                          geometry: str) -> float:
-    """Closed-form Wasserstein-1 on the line or circle.
-
-    Line: integral of |F_mu - F_nu| between consecutive support points.
-    Circle: min over c of the integral of |F_mu - F_nu - c|, minimized by a
-    length-weighted median of the CDF difference; ground metric is the arc
-    distance, so values agree with the transportation program exactly.
+    """Closed-form Wasserstein-1 on the line or circle: one stable sort
+    merges the two measures' atoms, mu's weights positive and nu's negative,
+    and ``_w1_line`` or ``_w1_circle`` integrates their CDF difference.
+    The ground metric is the arc distance on the circle, so values agree
+    with the transportation program exactly.
     """
     u = np.asarray(mu.atoms, dtype=np.float64)
     v = np.asarray(nu.atoms, dtype=np.float64)
     if u.ndim != 1 or v.ndim != 1:
         raise ValueError("fast path needs scalar atoms")
-    if geometry == _systems.GEOMETRY_LINE:
-        return _w1_line(u, mu.weights, v, nu.weights)
-    if geometry == _systems.GEOMETRY_CIRCLE:
-        return _w1_circle(u, mu.weights, v, nu.weights)
-    raise ValueError(f"no one-dimensional fast path for geometry {geometry!r}")
-
-
-def _w1_line(u: np.ndarray, uw: np.ndarray, v: np.ndarray, vw: np.ndarray) -> float:
-    return _merged_w1(_systems.GEOMETRY_LINE, u, uw, v, vw)
-
-
-def _w1_circle(u: np.ndarray, uw: np.ndarray, v: np.ndarray, vw: np.ndarray) -> float:
-    return _merged_w1(_systems.GEOMETRY_CIRCLE, u, uw, v, vw)
-
-
-def _merged_w1(geometry: str, u: np.ndarray, uw: np.ndarray,
-               v: np.ndarray, vw: np.ndarray) -> float:
+    closed_form = {_systems.GEOMETRY_LINE: _w1_line,
+                   _systems.GEOMETRY_CIRCLE: _w1_circle}.get(geometry)
+    if closed_form is None:
+        raise ValueError(f"no one-dimensional fast path for geometry {geometry!r}")
     pts = np.concatenate([u, v])
     order = np.argsort(pts, kind="stable")
-    return _sorted_w1(geometry, pts[order], np.concatenate([uw, -vw])[order])
+    return closed_form(pts[order], np.concatenate([mu.weights, -nu.weights])[order])
 
 
-def _sorted_w1(geometry: str, pts: np.ndarray, signed: np.ndarray) -> float:
-    """W1 on the line or circle from the merged atoms of both measures in
-    ascending order, with mu's weights positive and nu's negative.  Integer
-    weights (counts) give an exact integer CDF and W1 times their scale; on
-    the circle the median shift is taken off that CDF in place, in its dtype."""
-    if geometry == _systems.GEOMETRY_LINE:
-        if not (0 <= pts[0] and pts[-1] <= 1):
-            raise ValueError("line atoms must lie in [0, 1]")
-        cdf_diff = np.cumsum(signed)[:-1]
-        return float(np.abs(cdf_diff, out=cdf_diff) @ np.diff(pts))
+def _w1_line(pts: np.ndarray, signed: np.ndarray) -> float:
+    """W1 on the line, the integral of |F_mu - F_nu|, from the merged atoms
+    of both measures in ascending order with mu's weights positive and nu's
+    negative.  Integer weights (counts) give an exact integer CDF and W1
+    times their scale."""
+    if not (0 <= pts[0] and pts[-1] <= 1):
+        raise ValueError("line atoms must lie in [0, 1]")
+    cdf_diff = np.cumsum(signed)[:-1]
+    return float(np.abs(cdf_diff, out=cdf_diff) @ np.diff(pts))
+
+
+def _w1_circle(pts: np.ndarray, signed: np.ndarray) -> float:
+    """W1 on the circle from the input of ``_w1_line``: the least integral
+    of |F_mu - F_nu - c| over c, at a length-weighted median c of the CDF
+    difference, which is taken off that CDF in place, in its dtype."""
     if not (0 <= pts[0] and pts[-1] < 1):
         raise ValueError("circle atoms must lie in [0, 1)")
     g = np.cumsum(signed)

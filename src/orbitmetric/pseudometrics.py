@@ -17,9 +17,7 @@ from . import matching
 from . import systems as _systems
 from .errors import SizeLimitError
 from .measures import (Schedule, _cylinder_order, _cylinder_surplus, _line_unsent,
-                       _sorted_w1)
-# unused here; orbitbench's tracer wraps these two names in this module
-from .measures import _w1_circle, _w1_line  # noqa: F401
+                       _w1_circle, _w1_line)
 
 # exact assignment builds a dense n x n float64 cost matrix (32 MB at the cap)
 # for the compiled solver; products, which have no closed form, stop here
@@ -129,13 +127,16 @@ def _prefix_sorts(system: _systems.System, seg_x: _systems.OrbitSegment,
         yield n, signs, key
 
 
-def _fast_totals(system: _systems.System, seg_x: _systems.OrbitSegment,
-                 seg_y: _systems.OrbitSegment, checkpoints) -> list[float]:
-    """n * ebar_n for each checkpoint n (increasing), from _prefix_sorts.
+def _totals(system: _systems.System, seg_x: _systems.OrbitSegment,
+            seg_y: _systems.OrbitSegment, checkpoints, sorts=None, C=None) -> list[float]:
+    """n * ebar_n for each checkpoint n (increasing, the last one the segment
+    length), on the route the geometry fixes.  ``sorts`` (a _prefix_sorts
+    pass) and the cost matrix ``C`` are made here unless a caller that
+    shares them with Delta_n hands them in.
 
-    Line and circle: n * W1 from the CDF difference, which is an integer
-    count of signs, so its sums are exact and the order among tied points
-    cannot change them; no stable order is needed.
+    Line and circle: n * W1 by _w1_line and _w1_circle, whose CDF difference
+    is an integer count of signs, so its sums are exact and the order among
+    tied points cannot change them; no stable order is needed.
 
     Shift: n * W1 between the window empiricals by cylinder counting.  The
     window metric is an ultrametric, so the transport optimum has the closed
@@ -146,11 +147,24 @@ def _fast_totals(system: _systems.System, seg_x: _systems.OrbitSegment,
     change only at the levels k = s + 1 of the splits s < K present, and the
     edge lengths of levels k..K sum to 2**(K - k) units of 2**-K, so each
     such level adds its growth in total imbalance times 2**(K - k).
+
+    Products have no closed form: the exact assignment total on the leading
+    n x n block of one cost matrix, capped at ASSIGNMENT_CAP.
     """
+    geometry = system.geometry
+    if geometry not in _FAST_GEOMETRIES:
+        if seg_x.length > ASSIGNMENT_CAP:
+            raise SizeLimitError(
+                f"{geometry} systems need exact assignment, capped at "
+                f"n={ASSIGNMENT_CAP}")
+        if C is None:
+            C = _systems.cost_matrix(seg_x, seg_y).entries
+        return [matching.min_cost_assignment(C[:n, :n])[1] for n in checkpoints]
     totals = []
-    for n, signs, key in _prefix_sorts(system, seg_x, seg_y, checkpoints):
-        if system.geometry != _systems.GEOMETRY_SHIFT:
-            totals.append(_sorted_w1(system.geometry, key, signs))
+    for n, signs, key in sorts or _prefix_sorts(system, seg_x, seg_y, checkpoints):
+        if geometry != _systems.GEOMETRY_SHIFT:
+            w1 = _w1_line if geometry == _systems.GEOMETRY_LINE else _w1_circle
+            totals.append(w1(key, signs))
             continue
         K = system.horizon
         units = imbalance = 0  # units in 2**-K
@@ -164,24 +178,9 @@ def _fast_totals(system: _systems.System, seg_x: _systems.OrbitSegment,
 
 
 def _ebar_values(system: _systems.System, x, y, checkpoints) -> list[float]:
-    """ebar_n at each checkpoint (increasing), on the route the geometry fixes.
-
-    Line, circle and shift use the closed forms of _fast_totals, which have
-    no size limit; products solve the assignment exactly on prefixes of one
-    cost matrix, capped at ASSIGNMENT_CAP.
-    """
-    n_max = checkpoints[-1]
-    fast = system.geometry in _FAST_GEOMETRIES
-    if not fast and n_max > ASSIGNMENT_CAP:
-        raise SizeLimitError(
-            f"{system.geometry} systems need exact assignment, capped at "
-            f"n={ASSIGNMENT_CAP}")
-    seg_x, seg_y = _ordered_segments(system, x, y, n_max)
-    if fast:
-        totals = _fast_totals(system, seg_x, seg_y, checkpoints)
-        return [t / n for t, n in zip(totals, checkpoints)]
-    C = _systems.cost_matrix(seg_x, seg_y).entries
-    return [matching.min_cost_assignment(C[:n, :n])[1] / n for n in checkpoints]
+    """ebar_n at each checkpoint (increasing), from the totals of _totals."""
+    totals = _totals(system, *_ordered_segments(system, x, y, checkpoints[-1]), checkpoints)
+    return [t / n for t, n in zip(totals, checkpoints)]
 
 
 def ebar_n(system: _systems.System, x, y, n: int) -> float:
@@ -235,10 +234,10 @@ def weyl_profile(system: _systems.System, x, y, horizon: int,
     lengths = tuple(_systems._counts(window_lengths, "window length"))
     if len(lengths) == 0:
         raise ValueError("need at least one window length")
+    seg_x = system.orbit_segment(x, horizon)  # the integer rule before the comparison
+    seg_y = system.orbit_segment(y, horizon)
     if max(lengths) > horizon:
         raise ValueError("window length exceeds horizon")
-    seg_x = system.orbit_segment(x, horizon)
-    seg_y = system.orbit_segment(y, horizon)
     dists = _systems.aligned_distances(system, seg_x, seg_y)
     csum = np.concatenate([[0.0], np.cumsum(dists)])
     sup = {l: float((csum[l:] - csum[:-l]).max()) / l for l in lengths}
@@ -246,20 +245,22 @@ def weyl_profile(system: _systems.System, x, y, horizon: int,
 
 
 def _threshold_counter(system: _systems.System, seg_x: _systems.OrbitSegment,
-                       seg_y: _systems.OrbitSegment, checkpoints, C=None):
+                       seg_y: _systems.OrbitSegment, checkpoints, sorts=None, C=None):
     """``count(n, delta)``: Delta_n of the length-n prefixes of the two
     segments, for each checkpoint n (increasing, the last one the segment
     length).
 
     Every geometry first tries the aligned pairs: when the first n aligned
     distances all lie within delta, Delta_n is 0.  Otherwise the line and the
-    shift count it from _prefix_sorts, with no size limit, by _line_unsent on
-    unit masses and by _cylinder_surplus at level ``BinaryShift._level`` of delta.
-    The circle and products take the maximum threshold matching on the
-    leading n x n block of the cost matrix ``C``, built on first use and
-    capped at THRESHOLD_CAP.  Orbit segments of length n are prefixes of
-    longer ones, so that block is the cost matrix of the length-n segments,
-    up to a transpose that leaves the matching size unchanged.
+    shift count it from ``sorts``, a _prefix_sorts pass taken on first use
+    unless the caller hands one in, with no size limit: by _line_unsent on
+    unit masses and by _cylinder_surplus at level ``BinaryShift._level`` of
+    delta.  The circle and products take the maximum threshold matching on
+    the leading n x n block of the cost matrix ``C``, built on first use
+    unless handed in, and capped at THRESHOLD_CAP.  Orbit segments of length
+    n are prefixes of longer ones, so that block is the cost matrix of the
+    length-n segments, up to a transpose that leaves the matching size
+    unchanged.
     """
     geometry = system.geometry
     sorted_route = geometry in (_systems.GEOMETRY_LINE, _systems.GEOMETRY_SHIFT)
@@ -267,21 +268,22 @@ def _threshold_counter(system: _systems.System, seg_x: _systems.OrbitSegment,
         raise SizeLimitError(
             f"{geometry} threshold matching is capped at n={THRESHOLD_CAP}")
     reach = np.maximum.accumulate(_systems.aligned_distances(system, seg_x, seg_y))
-    sorts = ({n: (signs, key) for n, signs, key in
-              _prefix_sorts(system, seg_x, seg_y, checkpoints)} if sorted_route else {})
+    by_n = None
 
     def count(n: int, delta: float) -> int:
-        nonlocal C
+        nonlocal by_n, C
         if reach[n - 1] <= delta:
             return 0
-        if geometry == _systems.GEOMETRY_LINE:
-            signs, pts = sorts[n]
-            return _line_unsent(pts[signs > 0].tolist(), [1] * n,
-                                pts[signs < 0].tolist(), [1] * n, delta)
-        if geometry == _systems.GEOMETRY_SHIFT:
-            signs, split = sorts[n]
+        if sorted_route:
+            if by_n is None:
+                by_n = {m: (signs, key) for m, signs, key in
+                        sorts or _prefix_sorts(system, seg_x, seg_y, checkpoints)}
+            signs, key = by_n[n]
+            if geometry == _systems.GEOMETRY_LINE:
+                return _line_unsent(key[signs > 0].tolist(), [1] * n,
+                                    key[signs < 0].tolist(), [1] * n, delta)
             sides = np.array([signs > 0, signs < 0], dtype=np.int64)
-            return int(_cylinder_surplus(sides, split, system._level(delta, system.horizon))[0])
+            return int(_cylinder_surplus(sides, key, system._level(delta, system.horizon))[0])
         if C is None:
             C = _systems.cost_matrix(seg_x, seg_y).entries
         block = C[:n, :n]
@@ -294,10 +296,11 @@ def delta_n(system: _systems.System, x, y, n: int, delta: float) -> int:
 
     Equals n minus the maximum matching on pairs within delta, which is n
     times the Prokhorov deficiency at delta of the two empirical measures.
-    The line and the shift count it from one sort of the two segments with
-    the sweep and the cylinder surplus that ``prokhorov`` runs there, with no
-    size limit.  The circle and products match on the cost matrix, unless
-    the aligned pairs all lie within delta, and are capped at THRESHOLD_CAP.
+    When the aligned pairs all lie within delta it is 0, with no sort and
+    no cost matrix.  Otherwise the line and the shift count it from one sort
+    of the two segments with the sweep and the cylinder surplus that
+    ``prokhorov`` runs there, with no size limit, and the circle and
+    products match on the cost matrix, capped at THRESHOLD_CAP.
     """
     if not delta >= 0:
         raise ValueError("delta must be non-negative")
@@ -345,22 +348,21 @@ def sandwich_check(system: _systems.System, x, y, n: int,
                    delta: float) -> SandwichReport:
     """delta*Delta_n <= n*ebar_n <= Delta_n*diam + delta*(n - Delta_n).
 
-    The middle term is the raw total n*ebar_n, not a rounded-back average:
-    the closed form of _fast_totals on the line, circle and shift, the
-    assignment total on the cost matrix for products, capped at
-    ASSIGNMENT_CAP.  Delta_n takes delta_n's route; products read it from
-    the same cost matrix.
+    The middle term is the raw total n*ebar_n of _totals, not a rounded-back
+    average, and Delta_n takes delta_n's route.  The two share their input:
+    one _prefix_sorts pass of the pair on the line, circle and shift, and on
+    products one cost matrix, capped at ASSIGNMENT_CAP.
     """
     if not 0 <= delta < np.inf:  # delta * Delta_n is nan at delta = inf
         raise ValueError("delta must be non-negative and finite")
-    fast = system.geometry in _FAST_GEOMETRIES
-    if not fast and n > ASSIGNMENT_CAP:
-        raise SizeLimitError(f"sandwich check needs assignment, capped at {ASSIGNMENT_CAP}")
     seg_x, seg_y = _ordered_segments(system, x, y, n)
-    C = None if fast else _systems.cost_matrix(seg_x, seg_y).entries
-    dn = _threshold_counter(system, seg_x, seg_y, (n,), C)(n, delta)
-    mid = (_fast_totals(system, seg_x, seg_y, (n,))[0] if fast
-           else matching.min_cost_assignment(C)[1])
+    sorts = C = None
+    if system.geometry in _FAST_GEOMETRIES:
+        sorts = list(_prefix_sorts(system, seg_x, seg_y, (n,)))
+    elif n <= ASSIGNMENT_CAP:  # above it _totals refuses before any cost matrix
+        C = _systems.cost_matrix(seg_x, seg_y).entries
+    mid = _totals(system, seg_x, seg_y, (n,), sorts, C)[0]
+    dn = _threshold_counter(system, seg_x, seg_y, (n,), sorts, C)(n, delta)
     lhs = delta * dn
     rhs = dn * system.diameter + delta * (n - dn)
     slack = 1e-12 * max(1.0, n)

@@ -376,8 +376,8 @@ def test_weighted_median_at_exact_half():
     assert (objective(g, measures._weighted_median(g, lengths))
             == objective(g / 2, measures._weighted_median(g / 2, lengths)) * 2
             == 0.5)
-    assert (measures._sorted_w1(GEOMETRY_CIRCLE, pts, counts) / 2
-            == measures._sorted_w1(GEOMETRY_CIRCLE, pts, counts / 2) == 0.25)
+    assert (measures._w1_circle(pts, counts) / 2
+            == measures._w1_circle(pts, counts / 2) == 0.25)
 
 
 def _circle_w1_reference(pts, signed):
@@ -403,7 +403,7 @@ def test_circle_w1_of_integer_signs_is_bit_identical_to_the_float_shift():
         cases.append((pts, signed))
     for pts, signed in cases:
         kept = signed.copy()
-        got = measures._sorted_w1(GEOMETRY_CIRCLE, pts, signed)
+        got = measures._w1_circle(pts, signed)
         assert got == _circle_w1_reference(pts, signed), (pts, signed)
         assert np.array_equal(signed, kept)
 
@@ -413,12 +413,12 @@ def test_circle_w1_of_float_weights_keeps_a_fractional_shift():
     # would give 0.3125 in place of 0.1875
     pts = np.array([0.0, 0.25, 0.5, 0.75])
     signed = np.array([0.5, -0.25, 0.25, -0.5])
-    assert measures._sorted_w1(GEOMETRY_CIRCLE, pts, signed) == 0.1875
+    assert measures._w1_circle(pts, signed) == 0.1875
     rng = np.random.default_rng(20)
     for _ in range(100):
         n = int(rng.integers(2, 200))
         pts, signed = np.sort(rng.random(n)), rng.normal(size=n)
-        assert (measures._sorted_w1(GEOMETRY_CIRCLE, pts, signed)
+        assert (measures._w1_circle(pts, signed)
                 == _circle_w1_reference(pts, signed))
 
 

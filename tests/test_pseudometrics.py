@@ -28,7 +28,8 @@ from orbitmetric import (
     wasserstein1_fast_1d,
     weyl_profile,
 )
-from orbitmetric.measures import _cylinder_order
+from orbitmetric import pseudometrics, systems
+from orbitmetric.measures import _arc_unsent, _cylinder_order, _flow_unsent
 from orbitmetric.pseudometrics import _prefix_sorts
 from orbitmetric.systems import TentMap, aligned_distances, cost_matrix
 
@@ -335,20 +336,26 @@ def test_weyl_window_validation():
 
 
 @pytest.mark.parametrize("call", [
-    lambda rot, n: ebar_n(rot, 0.1, 0.2, n),
-    lambda rot, n: besicovitch_n(rot, 0.1, 0.2, n),
-    lambda rot, n: delta_n(rot, 0.1, 0.2, n, 0.1),
-    lambda rot, n: sandwich_check(rot, 0.1, 0.2, n, 0.1),
-    lambda rot, n: weyl_profile(rot, 0.1, 0.2, n, (1,)),
-    lambda rot, n: weyl_profile(rot, 0.1, 0.2, 10, (n,)),
+    lambda s, x, y, n: ebar_n(s, x, y, n),
+    lambda s, x, y, n: besicovitch_n(s, x, y, n),
+    lambda s, x, y, n: delta_n(s, x, y, n, 0.1),
+    lambda s, x, y, n: sandwich_check(s, x, y, n, 0.1),
+    lambda s, x, y, n: weyl_profile(s, x, y, n, (1,)),
+    lambda s, x, y, n: weyl_profile(s, x, y, 10, (n,)),
 ], ids=["ebar_n", "besicovitch_n", "delta_n", "sandwich_check",
         "weyl_horizon", "weyl_window"])
 def test_orbit_lengths_must_be_integers(call):
     rot = CircleRotation(0.3)
-    for n in (2.5, 2.7, 3.0, True):
+    for n in (2.5, 2.7, 3.0, True, "7"):
         with pytest.raises(ValueError, match="must be an integer"):
-            call(rot, n)
-    call(rot, np.int64(3))
+            call(rot, 0.1, 0.2, n)
+    call(rot, 0.1, 0.2, np.int64(3))
+    # the integer rule comes before the size caps: 3000.0 exceeds ASSIGNMENT_CAP
+    prod = ProductSystem(rot, TentMap())
+    for n in (3000.0, "7"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call(prod, (0.1, 0.2), (0.3, 0.4), n)
+    call(prod, (0.1, 0.2), (0.3, 0.4), np.int64(3))
 
 
 # -------------------------------------------------------------- delta_n
@@ -528,6 +535,139 @@ def test_etilde_line_and_shift_match_matrix_route():
                 for n in sched.tail_checkpoints) < e), None)
             assert (est.value, est.qualified) == (
                 (want, True) if want is not None else (grid[-1], False))
+
+
+def _arc_oracle(rot, x, y, n):
+    """delta -> Delta_n / n by the circle's arc rule on the two sorted state
+    arrays with unit masses: independent of the matching that delta_n runs."""
+    sx, sy = (np.sort(rot.orbit_segment(p, n).data) for p in (x, y))
+    ones = np.ones(n, dtype=np.int64)
+    return _arc_unsent(rot._kernel_matrix(sx, sy), ones, ones, n)
+
+
+def _on_and_beside(values):
+    """Each value and its neighbouring floats on either side."""
+    values = np.asarray(values, dtype=np.float64)
+    return np.concatenate([values, np.nextafter(values, -1), np.nextafter(values, 2)]).tolist()
+
+
+CIRCLE_ORACLE_ALPHAS = (0.0, 0.5, 0.25, 1 / 3, GOLDEN)
+
+
+def test_delta_circle_matches_arc_rule():
+    # rational angles repeat their states, so distances tie; thresholds at
+    # pairwise distances sit on the rounding boundary
+    rng = np.random.default_rng(45)
+    for alpha in CIRCLE_ORACLE_ALPHAS:
+        rot = CircleRotation(alpha)
+        for x, y in ((float(rng.random()), float(rng.random())),
+                     (float(rng.random()), float(rng.random())),
+                     (Fraction(1, 7), Fraction(3, 5)), (Fraction(1, 8), Fraction(5, 8))):
+            for n in (1, 6, 40, 180):
+                unsent = _arc_oracle(rot, x, y, n)
+                D = cost_matrix(rot.orbit_segment(x, n), rot.orbit_segment(y, n)).entries
+                edges = np.unique(D)
+                edges = edges[rng.choice(len(edges), min(len(edges), 16), replace=False)]
+                for delta in (0.0, 0.5, *_on_and_beside(edges)):
+                    if delta < 0:
+                        continue
+                    got = delta_n(rot, x, y, n, delta)
+                    assert type(got) is int
+                    assert got / n == unsent(delta), (alpha, x, y, n, delta)
+
+
+def test_etilde_circle_matches_arc_rule():
+    rng = np.random.default_rng(46)
+    grid = [k / 40 for k in range(1, 21)]
+    for alpha in CIRCLE_ORACLE_ALPHAS:
+        rot = CircleRotation(alpha)
+        for x, y in ((float(rng.random()), float(rng.random())),
+                     (Fraction(2, 9), Fraction(1, 2))):
+            sched = Schedule.geometric(int(rng.integers(2, 200)))
+            oracles = [(n, _arc_oracle(rot, x, y, n)) for n in sched.tail_checkpoints]
+            want = next((e for e in grid if max(u(e) for _, u in oracles) < e), None)
+            est = etilde_estimate(rot, x, y, sched, grid)
+            assert (est.value, est.qualified) == (
+                (want, True) if want is not None else (grid[-1], False)), (alpha, x, y)
+
+
+def test_delta_products_match_flow():
+    # products count Delta_n by threshold matching; scipy's integer max flow
+    # on the same cost matrix checks it past the brute-force sizes
+    rng = np.random.default_rng(47)
+    for prod in (ProductSystem(TentMap(), BinaryShift(6)),
+                 ProductSystem(CircleRotation(GOLDEN), TentMap())):
+        for _ in range(4):
+            x, y = sample_point(prod, rng), sample_point(prod, rng)
+            n = int(rng.integers(50, 301))
+            C = cost_matrix(prod.orbit_segment(x, n), prod.orbit_segment(y, n)).entries
+            ones = np.ones(n, dtype=np.int64)
+            unsent = _flow_unsent(C, ones, ones, n)
+            edges = C[rng.integers(0, n, 8), rng.integers(0, n, 8)]
+            for delta in (0.0, 0.25, float(rng.random()), *_on_and_beside(edges)):
+                if delta < 0:
+                    continue
+                got = delta_n(prod, x, y, n, delta)
+                assert type(got) is int
+                assert got / n == unsent(delta), (x, y, n, delta)
+
+
+def _spy_threshold_work(monkeypatch):
+    """Record the checkpoints of each _prefix_sorts pass and count the cost
+    matrices built."""
+    sorts, matrices = [], []
+    prefix_sorts, build = pseudometrics._prefix_sorts, systems.cost_matrix
+
+    def spy_sorts(system, seg_x, seg_y, checkpoints):
+        sorts.append(tuple(checkpoints))
+        return prefix_sorts(system, seg_x, seg_y, checkpoints)
+
+    def spy_build(seg_x, seg_y):
+        matrices.append(seg_x.length)
+        return build(seg_x, seg_y)
+    monkeypatch.setattr(pseudometrics, "_prefix_sorts", spy_sorts)
+    monkeypatch.setattr(systems, "cost_matrix", spy_build)
+    return sorts, matrices
+
+
+def test_sandwich_sorts_its_pair_once(monkeypatch):
+    sorts, matrices = _spy_threshold_work(monkeypatch)
+    n = 150
+    rot = CircleRotation(GOLDEN)
+    for system, x, y, delta, built in (
+            (LogisticMap(4.0), 0.2, 0.7, 0.05, 0),
+            (TentMap(), 0.2, 0.7, 0.05, 0),
+            (BinaryShift(8), ShiftPoint.from_string("", "0110"),
+             ShiftPoint.from_string("", "01"), 0.1, 0),
+            # rotation keeps every aligned distance at d(x, y) = 0.4
+            (rot, 0.1, 0.5, 0.45, 0),
+            # below it Delta_n matches on the one cost matrix
+            (rot, 0.1, 0.5, 0.05, 1)):
+        sorts.clear()
+        matrices.clear()
+        sandwich_check(system, x, y, n, delta)
+        assert sorts == [(n,)] and len(matrices) == built, system.kind
+    prod = ProductSystem(rot, TentMap())
+    sorts.clear()
+    matrices.clear()
+    sandwich_check(prod, (0.1, 0.2), (0.5, 0.7), n, 0.05)
+    assert sorts == [] and matrices == [n]
+    # above the assignment cap it refuses before building any cost matrix
+    matrices.clear()
+    with pytest.raises(SizeLimitError):
+        sandwich_check(prod, (0.1, 0.2), (0.5, 0.7), 2001, 0.05)
+    assert sorts == [] and matrices == []
+
+
+def test_delta_answered_by_aligned_pairs_sorts_nothing(monkeypatch):
+    sorts, matrices = _spy_threshold_work(monkeypatch)
+    for system, x, y in (
+            (LogisticMap(4.0), 0.2, 0.7),
+            (CircleRotation(GOLDEN), 0.1, 0.5),
+            (BinaryShift(8), ShiftPoint.from_string("", "0110"), ShiftPoint.from_string("", "01")),
+            (ProductSystem(CircleRotation(GOLDEN), TentMap()), (0.1, 0.2), (0.5, 0.7))):
+        assert delta_n(system, x, y, 200, system.diameter) == 0
+    assert sorts == [] and matrices == []
 
 
 def test_etilde_grid_validation():
