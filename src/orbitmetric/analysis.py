@@ -26,6 +26,7 @@ from .measures import (
     prokhorov,
     _breakpoint_search,
     _shift_deficiency,
+    _tail_clusters,
 )
 from .pseudometrics import (
     ASSIGNMENT_CAP,
@@ -33,6 +34,9 @@ from .pseudometrics import (
     ebar_estimate,
     ebar_n,
     weyl_profile,
+    _ebar_values,
+    _segments,
+    _tail_estimate,
 )
 from .systems import ShiftPoint
 
@@ -326,15 +330,17 @@ def omega_distance(system: _systems.System, x, y, schedule: Schedule,
 
     Small tail must force small Hausdorff distance; the verdict checks that
     implication only, so a pair with a large tail is unconstrained and the
-    report stays inconclusive.
+    report stays inconclusive.  Each point's orbit is built once, for both
+    the matched averages and its tail measures.
     """
     params = _parameters(system, schedule, x=_point_jsonable(system, x),
                          y=_point_jsonable(system, y), cluster_tol=cluster_tol,
                          rho_threshold=rho_threshold, small_ebar=small_ebar)
     report = DiagnosticReport("omega_distance", params)
-    ebar_tail = ebar_estimate(system, x, y, schedule).tail_sup
-    omx = omega_hat_estimate(system, x, schedule, cluster_tol)
-    omy = omega_hat_estimate(system, y, schedule, cluster_tol)
+    seg_x, seg_y = _segments(system, x, y, schedule.max_n, ebar=True)
+    values = _ebar_values(system, seg_x, seg_y, schedule.checkpoints)
+    ebar_tail = _tail_estimate(schedule, values).tail_sup
+    omx, omy = (_tail_clusters(seg, schedule, cluster_tol) for seg in (seg_x, seg_y))
     rho_h = hausdorff_measures(omx, omy, system)
     report.observations.append({"ebar_tail": ebar_tail, "rho_hausdorff": rho_h,
                                 "clusters_x": len(omx.members),
@@ -537,10 +543,9 @@ def _distance_to_fixed_segment(meas: DiscreteMeasure, system: _systems.BinaryShi
     in integer masses over N*m (counts*m against k*N and (m-k)*N)."""
     K, m = system.horizon, int(round(1.0 / step))
     N, k = int(meas.counts.sum()), np.arange(m + 1)
-    levels, surplus = _shift_deficiency(system, meas.states(system), meas.counts * m,
-                                        np.uint8([[0] * K, [1] * K]),
-                                        np.stack([k * N, (m - k) * N]))
-    return _breakpoint_search(levels, lambda t: surplus(t).min() / (N * m))
+    surplus = _shift_deficiency(system, meas.states(system), meas.counts * m,
+                                np.uint8([[0] * K, [1] * K]), np.stack([k * N, (m - k) * N]))
+    return _breakpoint_search(system._distances, lambda t: surplus(t).min() / (N * m))
 
 
 def example31_report(config: Example31Config = Example31Config()) -> DiagnosticReport:

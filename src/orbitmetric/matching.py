@@ -2,10 +2,10 @@
 
 ``min_cost_assignment`` runs scipy's compiled shortest-augmenting-path
 solver, ``brute_force_assignment`` is the independent enumeration oracle for
-small n.  ``max_matching_under_threshold`` and ``birkhoff_decompose`` need a
-maximum matching on a 0/1 mask; they get it from the same solver run on 0/1
-costs, and ``birkhoff_decompose`` peels a bistochastic matrix into a convex
-combination of permutations.
+small n.  ``max_matching_under_threshold`` (the oracle of Delta_n) and
+``birkhoff_decompose`` need a maximum matching on a 0/1 mask; they get it
+from the same solver run on 0/1 costs, and ``birkhoff_decompose`` peels a
+bistochastic matrix into a convex combination of permutations.
 """
 from __future__ import annotations
 

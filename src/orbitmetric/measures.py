@@ -8,19 +8,19 @@ by column generation; exact closed-form Wasserstein-1 on the line and the
 circle (``_w1_line``, ``_w1_circle``, which ``pseudometrics`` also runs for
 ebar_n on the merged sort of two orbits); and the exact one-sided Prokhorov
 metric.  Prokhorov runs one monotone search over the thresholds
-(``_breakpoint_search``) on every geometry, and the geometry gives only its
-deficiency rule: the shift sums the surplus over the cylinders of its
-ultrametric (``_cylinder_surplus``), the line runs a greedy sweep
-(``_line_unsent``), the circle one recurrence over the arcs within reach of
-each atom (``_arc_unsent``), and products a maximum flow (``_flow_unsent``),
-all in the mass unit ``_masses`` picks: integer counts when both measures
-keep them (empirical measures do), so the value is correctly rounded, and
-float weights otherwise, where products solve each flow as one HiGHS LP.
-``prokhorov_oracle`` and the float flow check the other routes.
-``_deficiency`` is the one geometry dispatch; def changes only at support
-distances, so ``omega_hat_estimate`` tests rho <= c as def(c) <= c, no search.
+(``_breakpoint_search``) on every geometry, and ``_unsent``, the one choice
+of a rule by geometry, gives the mass left unsent: the shift sums the
+surplus over the cylinders of its ultrametric (``_cylinder_surplus``), the
+line runs a greedy sweep (``_line_unsent``), the circle one recurrence over
+the arcs within reach of each atom (``_arc_unsent``), and products a maximum
+flow (``_flow_unsent``), all in the mass unit ``_masses`` picks: integer
+counts when both measures keep them (empirical measures do), so the value
+is correctly rounded, and float weights otherwise, where products solve
+each flow as one HiGHS LP.  ``prokhorov_oracle`` and the float flow check
+the other routes.  def, the unsent mass over the total, changes only at
+support distances, so ``omega_hat_estimate`` tests rho <= c as def(c) <= c.
 Delta_n of two length-n orbits is n times the deficiency of their
-empirical measures, and ``pseudometrics`` counts it with the same two rules.
+empirical measures, and ``pseudometrics`` counts it with ``_unsent`` too.
 Distances read atoms only through ``DiscreteMeasure.states``, validated once
 per system.  Empirical measures, products included, start with their orbit's
 distinct states, taken from one sort of the full orbit that every prefix
@@ -473,8 +473,8 @@ def prokhorov(mu: DiscreteMeasure, nu: DiscreteMeasure,
     along the pairs at distance <= t leaves unsent, and the distance is the
     least max(t, def(t)) over the thresholds t that are pairwise support
     distances (0 included).  One monotone search over the sorted thresholds
-    (``_breakpoint_search``) finds it on every geometry, and each geometry
-    computes the unsent mass by its own rule:
+    (``_breakpoint_search``) finds it on every geometry, and ``_unsent``
+    gives the unsent mass by the geometry's own rule:
 
     * shift: the window metric is an ultrametric, so def(t) sums the surplus
       mass of mu over the cylinders of level ``BinaryShift._level`` of t
@@ -495,25 +495,28 @@ def prokhorov(mu: DiscreteMeasure, nu: DiscreteMeasure,
     is one division, so the value is correctly rounded; otherwise the value
     is exact up to float sums and the LP's tolerances.
     """
-    return _breakpoint_search(*_deficiency(mu, nu, system))
-
-
-def _deficiency(mu: DiscreteMeasure, nu: DiscreteMeasure, system: _systems.System):
-    """The thresholds of the Prokhorov search for mu against nu and its rule
-    t -> def(t), the share of mu's mass unsent along the pairs within t; def
-    changes only at the thresholds, so prokhorov(...) <= c iff def(c) <= c."""
     wa, wb, total = _masses(mu, nu)
     sa, sb = mu.states(system), nu.states(system)
+    D = None if system.geometry == _systems.GEOMETRY_SHIFT else system._kernel_matrix(sa, sb)
+    unsent = _unsent(system, sa, wa, sb, wb, D)
+    return _breakpoint_search(system._distances if D is None else D,
+                              lambda t: unsent(t) / total)
+
+
+def _unsent(system: _systems.System, sa, wa: np.ndarray, sb, wb: np.ndarray, D=None):
+    """t -> the mass of ``wa`` on the states ``sa`` that a maximum flow to
+    ``wb`` on ``sb`` along the pairs within t leaves unsent, in the masses'
+    unit, by the geometry's rule.  Line and circle states must ascend.  The
+    circle and products read the distance matrix ``D`` of ``sa`` against
+    ``sb``, built here unless given; the line and the shift read none."""
     if system.geometry == _systems.GEOMETRY_SHIFT:
-        levels, surplus = _shift_deficiency(system, sa, wa, sb, wb[:, None])
-        return levels, lambda t: surplus(t)[0] / total
-    D = system._kernel_matrix(sa, sb)
+        surplus = _shift_deficiency(system, sa, wa, sb, wb[:, None])
+        return lambda t: surplus(t)[0]
     if system.geometry == _systems.GEOMETRY_LINE:
         sides = (sa.tolist(), wa.tolist(), sb.tolist(), wb.tolist())
-        return D, lambda t: _line_unsent(*sides, t) / total
-    if system.geometry == _systems.GEOMETRY_CIRCLE:
-        return D, _arc_unsent(D, wa, wb, total)
-    return D, _flow_unsent(D, wa, wb, total)
+        return lambda t: _line_unsent(*sides, t)
+    rule = _arc_unsent if system.geometry == _systems.GEOMETRY_CIRCLE else _flow_unsent
+    return rule(system._kernel_matrix(sa, sb) if D is None else D, wa, wb)
 
 
 def _masses(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray, int]:
@@ -552,24 +555,25 @@ def _breakpoint_search(D: np.ndarray, deficiency) -> float:
     return max(float(lefts[hi]), d, 0.0)
 
 
-def _flow_unsent(D: np.ndarray, wa: np.ndarray, wb: np.ndarray, total):
-    """t -> (total - maxflow from supplies ``wa`` to demands ``wb`` along the
-    pairs with D <= t) / total: the share of ``wa`` that the flow leaves unsent.
+def _flow_unsent(D: np.ndarray, wa: np.ndarray, wb: np.ndarray):
+    """t -> the mass of supplies ``wa`` that a maximum flow to demands ``wb``
+    along the pairs with D <= t leaves unsent: their total minus the flow.
 
     Integer masses (total below 2**31, the int32 capacities scipy works in)
     run scipy's max flow, each admissible pair an arc of capacity ``total``,
-    so the flow is exact; float weights (total 1) solve the flow as one
-    HiGHS LP (``_max_flow_lp``).  Products run it at every probe; the circle
-    runs ``_arc_unsent`` and comes here only at a probe whose pairs are not
-    arcs with rising ends, which rounding alone could cause.
+    so the flow is exact; float weights solve the flow as one HiGHS LP
+    (``_max_flow_lp``).  Products run it at every probe; the circle runs
+    ``_arc_unsent`` and comes here only at a probe whose pairs are not arcs
+    with rising ends, which rounding alone could cause.
     """
+    total = wa.sum()
     if wa.dtype.kind == "f":
         return lambda t: total - _max_flow_lp(wa, wb, *np.nonzero(D <= t))
     m, n = D.shape
     sink = m + n + 1
     # node 0 is the source, 1..m the atoms of mu, m+1..m+n those of nu
 
-    def unsent(t: float) -> float:
+    def unsent(t: float):
         rows, cols = np.nonzero(D <= t)
         degrees = np.concatenate([[m], np.bincount(rows, minlength=m), np.ones(n, int), [0]])
         indptr = np.concatenate([[0], np.cumsum(degrees)])
@@ -577,16 +581,16 @@ def _flow_unsent(D: np.ndarray, wa: np.ndarray, wb: np.ndarray, total):
         caps = np.concatenate([wa, np.full(len(rows), total), wb])
         graph = sparse.csr_array((caps.astype(np.int32), indices.astype(np.int32),
                                   indptr.astype(np.int32)), shape=(sink + 1, sink + 1))
-        return (total - maximum_flow(graph, 0, sink).flow_value) / total
+        return total - maximum_flow(graph, 0, sink).flow_value
     return unsent
 
 
 def _shift_deficiency(system: _systems.BinaryShift, sa: np.ndarray, wa: np.ndarray,
                       sb: np.ndarray, wb: np.ndarray):
-    """The window distances 2**-k, k < horizon, which serve as the search's
-    thresholds, and the rule t -> the mass of mu (windows ``sa``, masses
-    ``wa``) left unsent to each nu on the windows ``sb`` whose masses are a
-    column of ``wb``, as an array.
+    """The rule t -> the mass of mu (windows ``sa``, masses ``wa``) left
+    unsent to each nu on the windows ``sb`` whose masses are a column of
+    ``wb``, as an array; it changes only at the window distances
+    ``system._distances``.
 
     The pairs within t join each cylinder of level ``system._level`` of t to
     itself, so that mass is the sum over those cylinders C of (mu(C) - nu(C))+.
@@ -596,8 +600,7 @@ def _shift_deficiency(system: _systems.BinaryShift, sa: np.ndarray, wa: np.ndarr
     mass = np.zeros((1 + wb.shape[1], len(wa) + len(wb)), dtype=np.result_type(wa, wb))
     mass[0, :len(wa)], mass[1:, len(wa):] = wa, wb.T
     mass = mass[:, order]
-    levels = np.ldexp(1.0, -np.arange(system.horizon))
-    return levels, lambda t: _cylinder_surplus(mass, split, system._level(t, system.horizon))
+    return lambda t: _cylinder_surplus(mass, split, system._level(t, system.horizon))
 
 
 def _cylinder_surplus(mass: np.ndarray, split: np.ndarray, k: int) -> np.ndarray:
@@ -636,8 +639,8 @@ def _line_unsent(xs: list, ws: list, ys: list, vs: list, t: float):
     return unsent
 
 
-def _arc_unsent(D: np.ndarray, wa: np.ndarray, wb: np.ndarray, total):
-    """t -> the share of ``wa`` that a maximum flow to ``wb`` along the pairs
+def _arc_unsent(D: np.ndarray, wa: np.ndarray, wb: np.ndarray):
+    """t -> the mass of ``wa`` that a maximum flow to ``wb`` along the pairs
     with D <= t leaves unsent, where the rows and columns of ``D`` are two
     measures' atoms on the circle in ascending order.
 
@@ -658,7 +661,7 @@ def _arc_unsent(D: np.ndarray, wa: np.ndarray, wb: np.ndarray, total):
     rounding could cause, goes to ``_flow_unsent``.
     """
     m, n = D.shape
-    flow = _flow_unsent(D, wa, wb, total)
+    flow = _flow_unsent(D, wa, wb)
     # C over three laps: lifted starts lie below 2n and ends below 3n
     lifted = np.concatenate([[0], np.cumsum(np.tile(wb, 3))])
 
@@ -674,7 +677,7 @@ def _arc_unsent(D: np.ndarray, wa: np.ndarray, wb: np.ndarray, total):
         flat[rows] = False
         empty = wa[flat & ~mask[:, 0]].sum().item()
         if not len(rows):
-            return empty / total
+            return empty
         if (rows[1:] == rows[:-1]).any():
             return flow(t)
         L = starts - rows * n
@@ -691,7 +694,7 @@ def _arc_unsent(D: np.ndarray, wa: np.ndarray, wb: np.ndarray, total):
         A, B = (lifted[L] - M[:-1]).tolist(), (M[1:] - lifted[R]).tolist()
         _, outside = _best_runs(A, B, -math.inf, 0)
         inside, _ = _best_runs(A, B, 0, -math.inf)
-        return (empty + max(outside, inside + (M[-1] - lifted[n]).item())) / total
+        return empty + max(outside, inside + (M[-1] - lifted[n]).item())
     return unsent
 
 
@@ -779,12 +782,25 @@ def omega_hat_estimate(system: _systems.System, x, schedule: Schedule,
     the first member of each cluster is its representative.  Each test is one
     deficiency evaluation, exact as def changes only at support distances.
     """
+    return _tail_clusters(system.orbit_segment(x, schedule.max_n), schedule, cluster_tol)
+
+
+def _tail_clusters(seg: _systems.OrbitSegment, schedule: Schedule,
+                   cluster_tol: float) -> MeasureSet:
+    """``omega_hat_estimate`` on the orbit segment ``seg`` of length
+    ``schedule.max_n``, which a caller may share with other work."""
     if not cluster_tol >= 0:
         raise ValueError("cluster tolerance must be non-negative")
-    seg = system.orbit_segment(x, schedule.max_n)
+    system = seg.system
+
+    def apart(meas: DiscreteMeasure, rep: DiscreteMeasure) -> bool:
+        wa, wb, total = _masses(meas, rep)
+        unsent = _unsent(system, meas.states(system), wa, rep.states(system), wb)
+        return unsent(cluster_tol) / total > cluster_tol
+
     reps: list[DiscreteMeasure] = []
     for n in schedule.tail_checkpoints:
         meas = empirical_measure(seg.prefix(n))
-        if all(_deficiency(meas, rep, system)[1](cluster_tol) > cluster_tol for rep in reps):
+        if all(apart(meas, rep) for rep in reps):
             reps.append(meas)
     return MeasureSet(tuple(reps))

@@ -5,7 +5,8 @@ its limit superior over a checkpoint schedule is the mean orbital
 pseudo-metric estimate.  Besicovitch averages match times identically, Weyl
 profiles take the worst window anywhere in time, and the threshold count
 delta_n feeds the sandwich inequalities tying matched averages to matching
-cardinalities.
+cardinalities.  delta_n runs ``prokhorov``'s deficiency rule
+(``measures._unsent``); threshold matching is only its oracle.
 """
 from __future__ import annotations
 
@@ -16,15 +17,14 @@ import numpy as np
 from . import matching
 from . import systems as _systems
 from .errors import SizeLimitError
-from .measures import (Schedule, _cylinder_order, _cylinder_surplus, _line_unsent,
-                       _w1_circle, _w1_line)
+from .measures import Schedule, _cylinder_order, _unsent, _w1_circle, _w1_line
 
 # exact assignment builds a dense n x n float64 cost matrix (32 MB at the cap)
 # for the compiled solver; products, which have no closed form, stop here
 ASSIGNMENT_CAP = 2000
 
-# dense cost matrices for threshold matching (circle and products) stay
-# manageable up to here
+# the circle's and the products' deficiency rules read a dense n x n distance
+# matrix, which stays manageable up to here
 THRESHOLD_CAP = 4096
 
 _FAST_GEOMETRIES = (_systems.GEOMETRY_CIRCLE, _systems.GEOMETRY_LINE,
@@ -84,14 +84,19 @@ def _orbit_key(seg: _systems.OrbitSegment) -> bytes:
     return np.ascontiguousarray(data).tobytes()
 
 
-def _ordered_segments(system: _systems.System, x, y, n: int):
-    """Orbit segments in a canonical operand order, so swapping x and y
-    reproduces the identical computation and ebar_n is exactly symmetric."""
-    seg_x = system.orbit_segment(x, n)
-    seg_y = system.orbit_segment(y, n)
-    if _orbit_key(seg_y) < _orbit_key(seg_x):
-        seg_x, seg_y = seg_y, seg_x
-    return seg_x, seg_y
+def _segments(system: _systems.System, x, y, n, ebar: bool = False, delta: bool = False):
+    """The length-n orbit segments of x and y, built only once n passes the
+    integer rule and then the caps of the dense routes that the caller
+    names: products' ebar_n (``ebar``) above ASSIGNMENT_CAP, and Delta_n
+    (``delta``) on the circle and products above THRESHOLD_CAP."""
+    (n,) = _systems._counts([n], "orbit length")
+    geometry = system.geometry
+    if ebar and geometry not in _FAST_GEOMETRIES and n > ASSIGNMENT_CAP:
+        raise SizeLimitError(f"{geometry} ebar_n needs assignment, capped at n={ASSIGNMENT_CAP}")
+    dense = geometry in (_systems.GEOMETRY_CIRCLE, _systems.GEOMETRY_PRODUCT)
+    if delta and dense and n > THRESHOLD_CAP:
+        raise SizeLimitError(f"{geometry} Delta_n is capped at n={THRESHOLD_CAP}")
+    return system.orbit_segment(x, n), system.orbit_segment(y, n)
 
 
 def _prefix_sorts(system: _systems.System, seg_x: _systems.OrbitSegment,
@@ -128,11 +133,11 @@ def _prefix_sorts(system: _systems.System, seg_x: _systems.OrbitSegment,
 
 
 def _totals(system: _systems.System, seg_x: _systems.OrbitSegment,
-            seg_y: _systems.OrbitSegment, checkpoints, sorts=None, C=None) -> list[float]:
+            seg_y: _systems.OrbitSegment, checkpoints) -> list[float]:
     """n * ebar_n for each checkpoint n (increasing, the last one the segment
-    length), on the route the geometry fixes.  ``sorts`` (a _prefix_sorts
-    pass) and the cost matrix ``C`` are made here unless a caller that
-    shares them with Delta_n hands them in.
+    length), on the route the geometry fixes.  The segments are put in a
+    canonical order first, so swapping x and y reproduces the identical
+    computation and ebar_n is exactly symmetric.
 
     Line and circle: n * W1 by _w1_line and _w1_circle, whose CDF difference
     is an integer count of signs, so its sums are exact and the order among
@@ -149,19 +154,17 @@ def _totals(system: _systems.System, seg_x: _systems.OrbitSegment,
     such level adds its growth in total imbalance times 2**(K - k).
 
     Products have no closed form: the exact assignment total on the leading
-    n x n block of one cost matrix, capped at ASSIGNMENT_CAP.
+    n x n block of one cost matrix, whose cap ASSIGNMENT_CAP ``_segments``
+    checks before the orbits are built.
     """
+    if _orbit_key(seg_y) < _orbit_key(seg_x):
+        seg_x, seg_y = seg_y, seg_x
     geometry = system.geometry
     if geometry not in _FAST_GEOMETRIES:
-        if seg_x.length > ASSIGNMENT_CAP:
-            raise SizeLimitError(
-                f"{geometry} systems need exact assignment, capped at "
-                f"n={ASSIGNMENT_CAP}")
-        if C is None:
-            C = _systems.cost_matrix(seg_x, seg_y).entries
+        C = _systems.cost_matrix(seg_x, seg_y).entries
         return [matching.min_cost_assignment(C[:n, :n])[1] for n in checkpoints]
     totals = []
-    for n, signs, key in sorts or _prefix_sorts(system, seg_x, seg_y, checkpoints):
+    for n, signs, key in _prefix_sorts(system, seg_x, seg_y, checkpoints):
         if geometry != _systems.GEOMETRY_SHIFT:
             w1 = _w1_line if geometry == _systems.GEOMETRY_LINE else _w1_circle
             totals.append(w1(key, signs))
@@ -177,9 +180,10 @@ def _totals(system: _systems.System, seg_x: _systems.OrbitSegment,
     return totals[::-1]
 
 
-def _ebar_values(system: _systems.System, x, y, checkpoints) -> list[float]:
+def _ebar_values(system: _systems.System, seg_x: _systems.OrbitSegment,
+                 seg_y: _systems.OrbitSegment, checkpoints) -> list[float]:
     """ebar_n at each checkpoint (increasing), from the totals of _totals."""
-    totals = _totals(system, *_ordered_segments(system, x, y, checkpoints[-1]), checkpoints)
+    totals = _totals(system, seg_x, seg_y, checkpoints)
     return [t / n for t, n in zip(totals, checkpoints)]
 
 
@@ -191,13 +195,14 @@ def ebar_n(system: _systems.System, x, y, n: int) -> float:
     every n), which has no size limit; products solve the assignment
     exactly, capped at ASSIGNMENT_CAP.
     """
-    return _ebar_values(system, x, y, (n,))[0]
+    return _ebar_values(system, *_segments(system, x, y, n, ebar=True), (n,))[0]
 
 
 def ebar_estimate(system: _systems.System, x, y,
                   schedule: Schedule) -> TailEstimate:
     """ebar_n along the schedule; tail_sup is the mean pseudo-metric estimate."""
-    return _tail_estimate(schedule, _ebar_values(system, x, y, schedule.checkpoints))
+    segments = _segments(system, x, y, schedule.max_n, ebar=True)
+    return _tail_estimate(schedule, _ebar_values(system, *segments, schedule.checkpoints))
 
 
 def _tail_estimate(schedule: Schedule, values: list[float]) -> TailEstimate:
@@ -245,49 +250,28 @@ def weyl_profile(system: _systems.System, x, y, horizon: int,
 
 
 def _threshold_counter(system: _systems.System, seg_x: _systems.OrbitSegment,
-                       seg_y: _systems.OrbitSegment, checkpoints, sorts=None, C=None):
+                       seg_y: _systems.OrbitSegment):
     """``count(n, delta)``: Delta_n of the length-n prefixes of the two
-    segments, for each checkpoint n (increasing, the last one the segment
-    length).
-
-    Every geometry first tries the aligned pairs: when the first n aligned
-    distances all lie within delta, Delta_n is 0.  Otherwise the line and the
-    shift count it from ``sorts``, a _prefix_sorts pass taken on first use
-    unless the caller hands one in, with no size limit: by _line_unsent on
-    unit masses and by _cylinder_surplus at level ``BinaryShift._level`` of
-    delta.  The circle and products take the maximum threshold matching on
-    the leading n x n block of the cost matrix ``C``, built on first use
-    unless handed in, and capped at THRESHOLD_CAP.  Orbit segments of length
-    n are prefixes of longer ones, so that block is the cost matrix of the
-    length-n segments, up to a transpose that leaves the matching size
-    unchanged.
+    segments, as a Python int.  When the first n aligned distances all lie
+    within delta it is 0, with no sort and no rule.  Otherwise it is n times
+    the Prokhorov deficiency of the two length-n empirical measures, which
+    ``prokhorov``'s rule ``measures._unsent`` gives on the prefix states
+    with unit masses, sorted on the line and circle; each checkpoint builds
+    its rule once.  An exact integer, it needs no canonical operand order.
     """
-    geometry = system.geometry
-    sorted_route = geometry in (_systems.GEOMETRY_LINE, _systems.GEOMETRY_SHIFT)
-    if not sorted_route and seg_x.length > THRESHOLD_CAP:
-        raise SizeLimitError(
-            f"{geometry} threshold matching is capped at n={THRESHOLD_CAP}")
     reach = np.maximum.accumulate(_systems.aligned_distances(system, seg_x, seg_y))
-    by_n = None
+    rules = {}
 
     def count(n: int, delta: float) -> int:
-        nonlocal by_n, C
         if reach[n - 1] <= delta:
             return 0
-        if sorted_route:
-            if by_n is None:
-                by_n = {m: (signs, key) for m, signs, key in
-                        sorts or _prefix_sorts(system, seg_x, seg_y, checkpoints)}
-            signs, key = by_n[n]
-            if geometry == _systems.GEOMETRY_LINE:
-                return _line_unsent(key[signs > 0].tolist(), [1] * n,
-                                    key[signs < 0].tolist(), [1] * n, delta)
-            sides = np.array([signs > 0, signs < 0], dtype=np.int64)
-            return int(_cylinder_surplus(sides, key, system._level(delta, system.horizon))[0])
-        if C is None:
-            C = _systems.cost_matrix(seg_x, seg_y).entries
-        block = C[:n, :n]
-        return len(block) - matching.max_matching_under_threshold(block, delta)
+        if n not in rules:
+            sa, sb = (system._view(seg.prefix(n)) for seg in (seg_x, seg_y))
+            if system.geometry in (_systems.GEOMETRY_LINE, _systems.GEOMETRY_CIRCLE):
+                sa, sb = np.sort(sa), np.sort(sb)
+            ones = np.ones(n, dtype=np.int64)
+            rules[n] = _unsent(system, sa, ones, sb, ones)
+        return int(rules[n](delta))
     return count
 
 
@@ -297,14 +281,13 @@ def delta_n(system: _systems.System, x, y, n: int, delta: float) -> int:
     Equals n minus the maximum matching on pairs within delta, which is n
     times the Prokhorov deficiency at delta of the two empirical measures.
     When the aligned pairs all lie within delta it is 0, with no sort and
-    no cost matrix.  Otherwise the line and the shift count it from one sort
-    of the two segments with the sweep and the cylinder surplus that
-    ``prokhorov`` runs there, with no size limit, and the circle and
-    products match on the cost matrix, capped at THRESHOLD_CAP.
+    no distance matrix.  Otherwise it runs the deficiency rule ``prokhorov``
+    runs on the geometry: the line and the shift with no size limit, the
+    circle and products on a dense distance matrix, capped at THRESHOLD_CAP.
     """
     if not delta >= 0:
         raise ValueError("delta must be non-negative")
-    return _threshold_counter(system, *_ordered_segments(system, x, y, n), (n,))(n, delta)
+    return _threshold_counter(system, *_segments(system, x, y, n, delta=True))(n, delta)
 
 
 def etilde_estimate(system: _systems.System, x, y, schedule: Schedule,
@@ -314,7 +297,7 @@ def etilde_estimate(system: _systems.System, x, y, schedule: Schedule,
     The fraction delta_n/n is nonincreasing in epsilon while the right side
     grows, so the qualifying grid points form a suffix and a binary search
     over the grid suffices.  Every tail checkpoint is a prefix of the
-    longest tail segments, which are generated and sorted once.
+    longest tail segments, generated once, and builds its rule once.
     """
     grid = [float(e) for e in eps_grid]
     if len(grid) == 0:
@@ -325,8 +308,7 @@ def etilde_estimate(system: _systems.System, x, y, schedule: Schedule,
         raise ValueError("epsilon grid must lie in (0, diameter]")
 
     tail = schedule.tail_checkpoints
-    count = _threshold_counter(
-        system, *_ordered_segments(system, x, y, tail[-1]), tail)
+    count = _threshold_counter(system, *_segments(system, x, y, tail[-1], delta=True))
 
     def qualifies(eps: float) -> bool:
         return all(count(n, eps) / n < eps for n in tail)
@@ -349,20 +331,13 @@ def sandwich_check(system: _systems.System, x, y, n: int,
     """delta*Delta_n <= n*ebar_n <= Delta_n*diam + delta*(n - Delta_n).
 
     The middle term is the raw total n*ebar_n of _totals, not a rounded-back
-    average, and Delta_n takes delta_n's route.  The two share their input:
-    one _prefix_sorts pass of the pair on the line, circle and shift, and on
-    products one cost matrix, capped at ASSIGNMENT_CAP.
+    average, and Delta_n takes delta_n's route, on the same two segments.
     """
     if not 0 <= delta < np.inf:  # delta * Delta_n is nan at delta = inf
         raise ValueError("delta must be non-negative and finite")
-    seg_x, seg_y = _ordered_segments(system, x, y, n)
-    sorts = C = None
-    if system.geometry in _FAST_GEOMETRIES:
-        sorts = list(_prefix_sorts(system, seg_x, seg_y, (n,)))
-    elif n <= ASSIGNMENT_CAP:  # above it _totals refuses before any cost matrix
-        C = _systems.cost_matrix(seg_x, seg_y).entries
-    mid = _totals(system, seg_x, seg_y, (n,), sorts, C)[0]
-    dn = _threshold_counter(system, seg_x, seg_y, (n,), sorts, C)(n, delta)
+    seg_x, seg_y = _segments(system, x, y, n, ebar=True, delta=True)
+    mid = _totals(system, seg_x, seg_y, (n,))[0]
+    dn = _threshold_counter(system, seg_x, seg_y)(n, delta)
     lhs = delta * dn
     rhs = dn * system.diameter + delta * (n - dn)
     slack = 1e-12 * max(1.0, n)

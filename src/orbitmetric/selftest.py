@@ -100,13 +100,13 @@ def _check_prokhorov(rng: np.random.Generator) -> str | None:
                       - measures.prokhorov_oracle(mu, nu, system))
             if gap > 1e-9:
                 return f"{rule} vs subset oracle off by {gap:.2e}"
-    # fixed orbit prefixes (no random draws), against the flow LP
+    # fixed orbit prefixes (no random draws), against the flow LP, whose
+    # unsent mass is in the unit of the weights, total 1
     rot = systems.CircleRotation(alpha=0.6180339887)
     mu = measures.empirical_measure(rot.orbit_segment(0.1, 90))
     nu = measures.empirical_measure(rot.orbit_segment(0.1, 200))
     D = rot.pairwise_dist(mu.atoms, nu.atoms)
-    lp_flow = measures._breakpoint_search(
-        D, measures._flow_unsent(D, mu.weights, nu.weights, 1))
+    lp_flow = measures._breakpoint_search(D, measures._flow_unsent(D, mu.weights, nu.weights))
     gap = abs(measures.prokhorov(mu, nu, rot) - lp_flow)
     if gap > 1e-12:
         return f"counted circle arc rule vs flow LP off by {gap:.2e}"
@@ -129,9 +129,7 @@ def _check_sandwich(rng: np.random.Generator) -> str | None:
             rep = pseudometrics.sandwich_check(system, x, y, 30, delta)
             if not rep.holds:
                 return f"{system.kind} delta={delta}: {rep.lhs} / {rep.mid} / {rep.rhs}"
-            if system.geometry not in (systems.GEOMETRY_LINE, systems.GEOMETRY_SHIFT):
-                continue
-            # the sorted threshold counts against matching on the cost matrix
+            # each geometry's deficiency rule against matching on the cost matrix
             C = systems.cost_matrix(system.orbit_segment(x, 30), system.orbit_segment(y, 30))
             want = 30 - matching.max_matching_under_threshold(C, delta)
             got = pseudometrics.delta_n(system, x, y, 30, delta)

@@ -9,12 +9,14 @@ from orbitmetric import (
     DiagnosticReport,
     DiscreteMeasure,
     Example31Config,
+    LogisticMap,
     ProductSystem,
     Schedule,
     ShiftPoint,
     birkhoff_profile,
     build_example31_point,
     continuity_modulus,
+    ebar_estimate,
     empirical_equicontinuity,
     empirical_measure,
     en_equicontinuity_diagnostic,
@@ -36,6 +38,7 @@ from orbitmetric.analysis import (
     _curated_close_pairs,
     _distance_to_fixed_segment,
 )
+from orbitmetric import systems
 from orbitmetric.systems import TentMap
 
 GOLDEN = 0.6180339887498949
@@ -217,6 +220,24 @@ def test_omega_distance_large_tail_is_unconstrained():
                          Schedule.geometric(100))
     assert rep.verdict == VERDICT_INCONCLUSIVE
     assert rep.observations[0]["ebar_tail"] == 1.0
+
+
+def test_omega_distance_builds_each_orbit_once(monkeypatch):
+    built = []
+    orbit_segment = systems.System.orbit_segment
+    monkeypatch.setattr(systems.System, "orbit_segment",
+                        lambda self, x, n: built.append((x, n)) or orbit_segment(self, x, n))
+    schedule = Schedule.geometric(300)
+    omega_distance(CircleRotation(0.38197), 0.1, 0.45, schedule)
+    assert built == [(0.1, 300), (0.45, 300)]
+    # each point keeps its own clusters in either operand order, and the
+    # ebar tail is ebar_estimate's, which orders the operands canonically
+    log = LogisticMap(3.9)
+    for x, y, clusters in ((0.2, 0.7, (4, 2)), (0.7, 0.2, (2, 4))):
+        row = omega_distance(log, x, y, schedule, cluster_tol=0.02).observations[0]
+        assert (row["clusters_x"], row["clusters_y"]) == clusters == tuple(
+            len(omega_hat_estimate(log, p, schedule, 0.02).members) for p in (x, y))
+        assert row["ebar_tail"] == ebar_estimate(log, x, y, schedule).tail_sup
 
 
 def test_omega_hat_moves_slowly_along_an_orbit():

@@ -19,12 +19,12 @@ from orbitmetric import (
     Schedule,
     ShiftPoint,
     SizeLimitError,
-    delta_n,
     ebar_n,
     empirical_equicontinuity,
     empirical_measure,
     example31_report,
     hausdorff_measures,
+    max_matching_under_threshold,
     min_cost_assignment,
     omega_distance,
     omega_hat_estimate,
@@ -36,7 +36,8 @@ from orbitmetric import (
 )
 from orbitmetric import measures
 from orbitmetric.measures import ORACLE_SUPPORT_LIMIT
-from orbitmetric.systems import GEOMETRY_CIRCLE, GEOMETRY_LINE, GEOMETRY_PRODUCT, TentMap
+from orbitmetric.systems import (GEOMETRY_CIRCLE, GEOMETRY_LINE, GEOMETRY_PRODUCT, TentMap,
+                                 cost_matrix)
 
 W1_TOL = 1e-9
 PROKHOROV_TOL = 1e-9
@@ -769,7 +770,7 @@ def _flow_prokhorov(mu, nu, system):
     of every other route."""
     D = system.pairwise_dist(mu.atoms, nu.atoms)
     return measures._breakpoint_search(
-        D, measures._flow_unsent(D, mu.weights, nu.weights, 1))
+        D, measures._flow_unsent(D, mu.weights, nu.weights))
 
 
 def _route_cases(rng):
@@ -864,8 +865,8 @@ def test_identical_measures_vanish_on_line_and_shift_routes():
 def test_prokhorov_of_equal_length_empiricals_is_least_threshold_fraction():
     # Delta_n(x, y, t) = n * def_t(mu, nu) for the length-n empirical measures:
     # both are what a maximum flow along the pairs within t leaves unsent.
-    # This pits the circle's arc rule and the products' scipy flow against
-    # the matching.
+    # This pits every deficiency rule against the threshold matching on the
+    # orbits' cost matrix, the oracle of Delta_n.
     rng = np.random.default_rng(31)
     rot = CircleRotation(0.6180339887498949)
     for system in (LogisticMap(4.0), TentMap(), BinaryShift(5), BinaryShift(30), rot,
@@ -873,11 +874,11 @@ def test_prokhorov_of_equal_length_empiricals_is_least_threshold_fraction():
         for _ in range(3):
             n = int(rng.integers(1, 26))
             x, y = sample_point(system, rng), sample_point(system, rng)
-            mu = empirical_measure(system.orbit_segment(x, n))
-            nu = empirical_measure(system.orbit_segment(y, n))
-            D = system.pairwise_dist(mu.atoms, nu.atoms)
-            least = min(max(t, delta_n(system, x, y, n, t) / n)
-                        for t in np.unique(np.append(D, 0.0)).tolist())
+            seg_x, seg_y = system.orbit_segment(x, n), system.orbit_segment(y, n)
+            mu, nu = empirical_measure(seg_x), empirical_measure(seg_y)
+            C = cost_matrix(seg_x, seg_y)
+            least = min(max(t, (n - max_matching_under_threshold(C, t)) / n)
+                        for t in np.unique(np.append(C.entries, 0.0)).tolist())
             assert prokhorov(mu, nu, system) == pytest.approx(least, abs=1e-12)
 
 
@@ -926,8 +927,8 @@ def test_counted_flow_runs_only_below_the_int32_scale(monkeypatch):
 
 
 def _arc_cases(rng):
-    """Circle masses (D, wa, wb, total) for the arc rule, each pair in counts
-    and in float weights: dyadic-grid ties, nested orbit prefixes, one
+    """Circle masses (D, wa, wb) for the arc rule, each pair in counts scaled
+    to one unit and in float weights: dyadic-grid ties, nested orbit prefixes, one
     measure on a short arc and the other around the circle (rows with no
     pair and with every pair), Diracs; then float weights of 0.0 and -1e-16."""
     rot = CircleRotation(0.6180339887498949)
@@ -949,11 +950,11 @@ def _arc_cases(rng):
     pairs += [(one, other), (other, one), (one, DiscreteMeasure.dirac(0.125)), (one, one)]
     for mu, nu in pairs:
         D = rot._kernel_matrix(mu.states(rot), nu.states(rot))
-        yield (D, *measures._masses(mu, nu))
-        yield D, mu.weights, nu.weights, 1
+        yield (D, *measures._masses(mu, nu)[:2])
+        yield D, mu.weights, nu.weights
     for system, mu, nu in _edge_weight_cases(rng):
         if system == rot:
-            yield rot._kernel_matrix(mu.states(rot), nu.states(rot)), mu.weights, nu.weights, 1
+            yield rot._kernel_matrix(mu.states(rot), nu.states(rot)), mu.weights, nu.weights
 
 
 def test_arc_rule_matches_the_flow_at_every_threshold(monkeypatch):
@@ -965,8 +966,8 @@ def test_arc_rule_matches_the_flow_at_every_threshold(monkeypatch):
         return lambda t: fallbacks.append(t) or flow(t)
     monkeypatch.setattr(measures, "_flow_unsent", counted_flow)
     seen = Counter()
-    for D, wa, wb, total in _arc_cases(np.random.default_rng(32)):
-        arc, flow = measures._arc_unsent(D, wa, wb, total), flow_unsent(D, wa, wb, total)
+    for D, wa, wb in _arc_cases(np.random.default_rng(32)):
+        arc, flow = measures._arc_unsent(D, wa, wb), flow_unsent(D, wa, wb)
         for t in np.unique(np.concatenate([[0.0, 0.5, 0.75], D.ravel()])).tolist():
             if wa.dtype.kind == "f":
                 assert arc(t) == pytest.approx(flow(t), abs=1e-12)
@@ -986,8 +987,8 @@ def test_arc_rule_matches_the_flow_at_every_threshold(monkeypatch):
     twice_round = np.where(np.eye(4, dtype=bool)[[0, 2, 1, 3]], 0.0, 0.4)
     for D, wa, wb in ((two_runs, [3, 2], [1, 1, 2, 1]), (twice_round, [1, 2, 3, 4], [4, 3, 2, 1])):
         total = sum(wa)
-        for masses, tol in (((np.array(wa), np.array(wb), total), 0.0),
-                            ((np.array(wa) / total, np.array(wb) / total, 1), 1e-12)):
+        for masses, tol in (((np.array(wa), np.array(wb)), 0.0),
+                            ((np.array(wa) / total, np.array(wb) / total), 1e-12)):
             fallbacks.clear()
             got = measures._arc_unsent(D, *masses)(0.0)
             assert fallbacks == [0.0]
@@ -1014,18 +1015,20 @@ def _deficiency_cases(rng):
 
 
 def test_one_deficiency_evaluation_decides_prokhorov_at_most_c():
-    # def changes only at the thresholds, so rho <= c iff def(c) <= c; probe
-    # c at rho, at its ulps, at the least thresholds and their ulps
+    # def changes only at the support distances, so rho <= c iff def(c) <= c,
+    # with def the unsent mass over the masses' total; probe c at rho, at its
+    # ulps, at the least support distances and their ulps
     decisions = 0
     for system, mu, nu in _deficiency_cases(np.random.default_rng(41)):
         rho = prokhorov(mu, nu, system)
-        thresholds, deficiency = measures._deficiency(mu, nu, system)
-        lefts = np.unique(np.append(thresholds, 0.0))[:4].tolist()
+        wa, wb, total = measures._masses(mu, nu)
+        unsent = measures._unsent(system, mu.states(system), wa, nu.states(system), wb)
+        lefts = np.unique(np.append(system.pairwise_dist(mu.atoms, nu.atoms), 0.0))[:4].tolist()
         probes = {0.05, 0.2, 1.0}
         for c in [rho, *lefts]:
             probes |= {c, np.nextafter(c, -np.inf), np.nextafter(c, np.inf)}
         for c in probes:
-            assert (deficiency(c) <= c) == (rho <= c), (system, c, rho)
+            assert (unsent(c) / total <= c) == (rho <= c), (system, c, rho)
             decisions += 1
     assert decisions > 1000
 

@@ -28,9 +28,9 @@ from orbitmetric import (
     wasserstein1_fast_1d,
     weyl_profile,
 )
-from orbitmetric import pseudometrics, systems
-from orbitmetric.measures import _arc_unsent, _cylinder_order, _flow_unsent
-from orbitmetric.pseudometrics import _prefix_sorts
+from orbitmetric import matching, measures, pseudometrics, systems
+from orbitmetric.measures import _cylinder_order
+from orbitmetric.pseudometrics import ASSIGNMENT_CAP, THRESHOLD_CAP, _prefix_sorts
 from orbitmetric.systems import TentMap, aligned_distances, cost_matrix
 
 GOLDEN = 0.6180339887498949
@@ -381,7 +381,7 @@ def _delta_brute(C: np.ndarray, delta: float) -> int:
 
 def test_delta_matches_min_exceedance_over_permutations():
     # the line greedy on generic (logistic) and tie-heavy (doubling, tent)
-    # orbits, the shift's cylinder count and the circle's matching
+    # orbits, the shift's cylinder count and the circle's arc rule
     rng = np.random.default_rng(36)
     for system in (DoublingMap(), LogisticMap(4.0), TentMap(), BinaryShift(4),
                    BinaryShift(), CircleRotation(GOLDEN)):
@@ -459,7 +459,7 @@ def test_delta_rejects_negative_threshold():
 
 
 def test_delta_dense_size_guard():
-    # the circle and products still match on a dense cost matrix
+    # the circle's and the products' rules read a dense distance matrix
     rot = CircleRotation(GOLDEN)
     prod = ProductSystem(rot, DoublingMap())
     with pytest.raises(SizeLimitError):
@@ -537,14 +537,6 @@ def test_etilde_line_and_shift_match_matrix_route():
                 (want, True) if want is not None else (grid[-1], False))
 
 
-def _arc_oracle(rot, x, y, n):
-    """delta -> Delta_n / n by the circle's arc rule on the two sorted state
-    arrays with unit masses: independent of the matching that delta_n runs."""
-    sx, sy = (np.sort(rot.orbit_segment(p, n).data) for p in (x, y))
-    ones = np.ones(n, dtype=np.int64)
-    return _arc_unsent(rot._kernel_matrix(sx, sy), ones, ones, n)
-
-
 def _on_and_beside(values):
     """Each value and its neighbouring floats on either side."""
     values = np.asarray(values, dtype=np.float64)
@@ -554,9 +546,16 @@ def _on_and_beside(values):
 CIRCLE_ORACLE_ALPHAS = (0.0, 0.5, 0.25, 1 / 3, GOLDEN)
 
 
-def test_delta_circle_matches_arc_rule():
-    # rational angles repeat their states, so distances tie; thresholds at
-    # pairwise distances sit on the rounding boundary
+def test_delta_circle_matches_threshold_matching(monkeypatch):
+    # the arc rule against its oracle, with no probe left to the flow it
+    # falls back to; rational angles repeat their states, so distances tie,
+    # and thresholds at pairwise distances sit on the rounding boundary
+    flow_unsent, fallbacks = measures._flow_unsent, []
+
+    def counted_flow(*args):
+        flow = flow_unsent(*args)
+        return lambda t: fallbacks.append(t) or flow(t)
+    monkeypatch.setattr(measures, "_flow_unsent", counted_flow)
     rng = np.random.default_rng(45)
     for alpha in CIRCLE_ORACLE_ALPHAS:
         rot = CircleRotation(alpha)
@@ -564,7 +563,6 @@ def test_delta_circle_matches_arc_rule():
                      (float(rng.random()), float(rng.random())),
                      (Fraction(1, 7), Fraction(3, 5)), (Fraction(1, 8), Fraction(5, 8))):
             for n in (1, 6, 40, 180):
-                unsent = _arc_oracle(rot, x, y, n)
                 D = cost_matrix(rot.orbit_segment(x, n), rot.orbit_segment(y, n)).entries
                 edges = np.unique(D)
                 edges = edges[rng.choice(len(edges), min(len(edges), 16), replace=False)]
@@ -573,10 +571,12 @@ def test_delta_circle_matches_arc_rule():
                         continue
                     got = delta_n(rot, x, y, n, delta)
                     assert type(got) is int
-                    assert got / n == unsent(delta), (alpha, x, y, n, delta)
+                    assert got == n - max_matching_under_threshold(D, delta), (
+                        alpha, x, y, n, delta)
+    assert not fallbacks
 
 
-def test_etilde_circle_matches_arc_rule():
+def test_etilde_circle_matches_threshold_matching():
     rng = np.random.default_rng(46)
     grid = [k / 40 for k in range(1, 21)]
     for alpha in CIRCLE_ORACLE_ALPHAS:
@@ -584,16 +584,16 @@ def test_etilde_circle_matches_arc_rule():
         for x, y in ((float(rng.random()), float(rng.random())),
                      (Fraction(2, 9), Fraction(1, 2))):
             sched = Schedule.geometric(int(rng.integers(2, 200)))
-            oracles = [(n, _arc_oracle(rot, x, y, n)) for n in sched.tail_checkpoints]
-            want = next((e for e in grid if max(u(e) for _, u in oracles) < e), None)
+            want = next((e for e in grid if max(
+                _delta_matching(rot, x, y, n, e) / n for n in sched.tail_checkpoints) < e), None)
             est = etilde_estimate(rot, x, y, sched, grid)
             assert (est.value, est.qualified) == (
                 (want, True) if want is not None else (grid[-1], False)), (alpha, x, y)
 
 
-def test_delta_products_match_flow():
-    # products count Delta_n by threshold matching; scipy's integer max flow
-    # on the same cost matrix checks it past the brute-force sizes
+def test_delta_products_match_threshold_matching():
+    # the products' integer max flow against its oracle, past the
+    # brute-force sizes
     rng = np.random.default_rng(47)
     for prod in (ProductSystem(TentMap(), BinaryShift(6)),
                  ProductSystem(CircleRotation(GOLDEN), TentMap())):
@@ -601,73 +601,120 @@ def test_delta_products_match_flow():
             x, y = sample_point(prod, rng), sample_point(prod, rng)
             n = int(rng.integers(50, 301))
             C = cost_matrix(prod.orbit_segment(x, n), prod.orbit_segment(y, n)).entries
-            ones = np.ones(n, dtype=np.int64)
-            unsent = _flow_unsent(C, ones, ones, n)
             edges = C[rng.integers(0, n, 8), rng.integers(0, n, 8)]
             for delta in (0.0, 0.25, float(rng.random()), *_on_and_beside(edges)):
                 if delta < 0:
                     continue
                 got = delta_n(prod, x, y, n, delta)
                 assert type(got) is int
-                assert got / n == unsent(delta), (x, y, n, delta)
+                assert got == n - max_matching_under_threshold(C, delta), (x, y, n, delta)
 
 
 def _spy_threshold_work(monkeypatch):
-    """Record the checkpoints of each _prefix_sorts pass and count the cost
-    matrices built."""
-    sorts, matrices = [], []
-    prefix_sorts, build = pseudometrics._prefix_sorts, systems.cost_matrix
+    """Record the checkpoints of each _prefix_sorts pass (ebar's sort), the
+    length of each deficiency rule built for Delta_n, the length of each
+    cost matrix built and every threshold matching run."""
+    work = {"sorts": [], "rules": [], "matrices": [], "matchings": []}
+    prefix_sorts, unsent = pseudometrics._prefix_sorts, pseudometrics._unsent
+    build, match = systems.cost_matrix, matching.max_matching_under_threshold
 
     def spy_sorts(system, seg_x, seg_y, checkpoints):
-        sorts.append(tuple(checkpoints))
+        work["sorts"].append(tuple(checkpoints))
         return prefix_sorts(system, seg_x, seg_y, checkpoints)
 
+    def spy_unsent(system, sa, wa, sb, wb, D=None):
+        work["rules"].append(len(wa))
+        return unsent(system, sa, wa, sb, wb, D)
+
     def spy_build(seg_x, seg_y):
-        matrices.append(seg_x.length)
+        work["matrices"].append(seg_x.length)
         return build(seg_x, seg_y)
+
+    def spy_match(cost, delta):
+        work["matchings"].append(delta)
+        return match(cost, delta)
     monkeypatch.setattr(pseudometrics, "_prefix_sorts", spy_sorts)
+    monkeypatch.setattr(pseudometrics, "_unsent", spy_unsent)
     monkeypatch.setattr(systems, "cost_matrix", spy_build)
-    return sorts, matrices
+    monkeypatch.setattr(matching, "max_matching_under_threshold", spy_match)
+    return work
 
 
-def test_sandwich_sorts_its_pair_once(monkeypatch):
-    sorts, matrices = _spy_threshold_work(monkeypatch)
+def test_threshold_calls_run_the_deficiency_rule_alone(monkeypatch):
+    # Delta_n builds one deficiency rule per checkpoint it needs, never a
+    # cost matrix or a threshold matching; a sandwich's cost matrix and sort
+    # are ebar's.  Etilde stops at the first checkpoint that fails, and
+    # reuses each rule over its grid
+    work = _spy_threshold_work(monkeypatch)
     n = 150
     rot = CircleRotation(GOLDEN)
-    for system, x, y, delta, built in (
-            (LogisticMap(4.0), 0.2, 0.7, 0.05, 0),
-            (TentMap(), 0.2, 0.7, 0.05, 0),
+    sched = Schedule((40, 90, n), 0)
+    grid = [0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5]
+    for system, x, y, delta in (
+            (LogisticMap(4.0), 0.2, 0.7, 0.05),
+            (TentMap(), 0.2, 0.7, 0.05),
             (BinaryShift(8), ShiftPoint.from_string("", "0110"),
-             ShiftPoint.from_string("", "01"), 0.1, 0),
+             ShiftPoint.from_string("", "01"), 0.1),
             # rotation keeps every aligned distance at d(x, y) = 0.4
-            (rot, 0.1, 0.5, 0.45, 0),
-            # below it Delta_n matches on the one cost matrix
-            (rot, 0.1, 0.5, 0.05, 1)):
-        sorts.clear()
-        matrices.clear()
-        sandwich_check(system, x, y, n, delta)
-        assert sorts == [(n,)] and len(matrices) == built, system.kind
-    prod = ProductSystem(rot, TentMap())
-    sorts.clear()
-    matrices.clear()
-    sandwich_check(prod, (0.1, 0.2), (0.5, 0.7), n, 0.05)
-    assert sorts == [] and matrices == [n]
-    # above the assignment cap it refuses before building any cost matrix
-    matrices.clear()
-    with pytest.raises(SizeLimitError):
-        sandwich_check(prod, (0.1, 0.2), (0.5, 0.7), 2001, 0.05)
-    assert sorts == [] and matrices == []
+            (rot, 0.1, 0.5, 0.05),
+            (ProductSystem(rot, TentMap()), (0.1, 0.2), (0.5, 0.7), 0.05)):
+        product = system.geometry == systems.GEOMETRY_PRODUCT
+        for call, sorts, rules, matrices in (
+                (lambda: delta_n(system, x, y, n, delta), [], [n], []),
+                (lambda: etilde_estimate(system, x, y, sched, grid), [], None, []),
+                (lambda: sandwich_check(system, x, y, n, delta),
+                 [] if product else [(n,)], [n], [n] if product else [])):
+            for key in work:
+                work[key].clear()
+            call()
+            if rules is None:  # each checkpoint's rule built once at most
+                rules = work["rules"]
+                assert rules and len(set(rules)) == len(rules)
+                assert set(rules) <= set(sched.checkpoints)
+            assert work == {"sorts": sorts, "rules": rules, "matrices": matrices,
+                            "matchings": []}, system.kind
 
 
 def test_delta_answered_by_aligned_pairs_sorts_nothing(monkeypatch):
-    sorts, matrices = _spy_threshold_work(monkeypatch)
+    work = _spy_threshold_work(monkeypatch)
+    sort = np.sort
+    monkeypatch.setattr(np, "sort", lambda *args, **kwargs: work["sorts"].append(1) or sort(
+        *args, **kwargs))
     for system, x, y in (
             (LogisticMap(4.0), 0.2, 0.7),
             (CircleRotation(GOLDEN), 0.1, 0.5),
             (BinaryShift(8), ShiftPoint.from_string("", "0110"), ShiftPoint.from_string("", "01")),
             (ProductSystem(CircleRotation(GOLDEN), TentMap()), (0.1, 0.2), (0.5, 0.7))):
         assert delta_n(system, x, y, 200, system.diameter) == 0
-    assert sorts == [] and matrices == []
+    assert work == {"sorts": [], "rules": [], "matrices": [], "matchings": []}
+
+
+def test_caps_refuse_before_any_orbit_is_built(monkeypatch):
+    # the integer rule first, then the cap, then the orbits
+    built = []
+    orbit_segment = systems.System.orbit_segment
+    monkeypatch.setattr(systems.System, "orbit_segment",
+                        lambda self, x, n: built.append(n) or orbit_segment(self, x, n))
+    rot = CircleRotation(GOLDEN)
+    prod = ProductSystem(rot, TentMap())
+    px, py = (0.1, 0.2), (0.5, 0.7)
+    above_assignment, above_threshold = ASSIGNMENT_CAP + 1, THRESHOLD_CAP + 1
+    for call in (lambda: ebar_n(prod, px, py, above_assignment),
+                 lambda: ebar_estimate(prod, px, py, Schedule.geometric(above_assignment)),
+                 lambda: sandwich_check(prod, px, py, above_assignment, 0.05),
+                 lambda: sandwich_check(rot, 0.1, 0.6, above_threshold, 0.05),
+                 lambda: delta_n(rot, 0.1, 0.6, above_threshold, 0.05),
+                 lambda: delta_n(prod, px, py, above_threshold, 0.05),
+                 lambda: etilde_estimate(rot, 0.1, 0.6, Schedule((above_threshold,), 0), [0.1]),
+                 lambda: etilde_estimate(prod, px, py, Schedule((above_threshold,), 0), [0.1])):
+        with pytest.raises(SizeLimitError):
+            call()
+    for call in (lambda: ebar_n(prod, px, py, 3000.0),
+                 lambda: delta_n(rot, 0.1, 0.6, 5000.0, 0.05),
+                 lambda: sandwich_check(prod, px, py, 3000.0, 0.05)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call()
+    assert built == []
 
 
 def test_etilde_grid_validation():
