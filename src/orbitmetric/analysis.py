@@ -22,10 +22,9 @@ from .measures import (
     Schedule,
     empirical_measure,
     hausdorff_measures,
-    omega_hat_estimate,
     prokhorov,
     _breakpoint_search,
-    _shift_deficiency,
+    _cylinder_unsent,
     _tail_clusters,
 )
 from .pseudometrics import (
@@ -540,12 +539,14 @@ def _distance_to_fixed_segment(meas: DiscreteMeasure, system: _systems.BinaryShi
     """min over the alpha grid k/m of the Prokhorov distance to
     alpha*delta(all zeros) + (1-alpha)*delta(all ones): one search over the
     least deficiency across the grid, as the minima over alpha and t commute,
-    in integer masses over N*m (counts*m against k*N and (m-k)*N)."""
+    in integer masses over N*m (counts*m against k*N and (m-k)*N), with one
+    sort and the thresholds of ``prokhorov``'s shift rule for every alpha."""
     K, m = system.horizon, int(round(1.0 / step))
     N, k = int(meas.counts.sum()), np.arange(m + 1)
-    surplus = _shift_deficiency(system, meas.states(system), meas.counts * m,
-                                np.uint8([[0] * K, [1] * K]), np.stack([k * N, (m - k) * N]))
-    return _breakpoint_search(system._distances, lambda t: surplus(t).min() / (N * m))
+    wa = np.broadcast_to(meas.counts * m, (m + 1, meas.support_size))
+    D, unsent = _cylinder_unsent(system, meas.states(system), wa, np.uint8([[0] * K, [1] * K]),
+                                 np.stack([k * N, (m - k) * N], axis=1))
+    return _breakpoint_search(D, lambda t: unsent(t).min() / (N * m))
 
 
 def example31_report(config: Example31Config = Example31Config()) -> DiagnosticReport:
@@ -554,7 +555,7 @@ def example31_report(config: Example31Config = Example31Config()) -> DiagnosticR
     The matched orbit average between the two block points stays large (the
     per-block lower bound approaches 1), while both orbits' tail measure
     estimates cling to the same segment of fixed-point mixtures, so measure
-    proximity cannot force orbit proximity.
+    proximity cannot force orbit proximity.  Each orbit is built once.
     """
     lengths = config.lengths()
     b = np.cumsum(lengths).tolist()
@@ -569,7 +570,8 @@ def example31_report(config: Example31Config = Example31Config()) -> DiagnosticR
                          cluster_tol=config.cluster_tol)
     report = DiagnosticReport("example31", params)
 
-    est = ebar_estimate(system, x, y, schedule)
+    seg_x, seg_y = _segments(system, x, y, b[-1], ebar=True)
+    est = _tail_estimate(schedule, _ebar_values(system, seg_x, seg_y, schedule.checkpoints))
     failures: list[str] = []
     for i, (n, value) in enumerate(zip(b, est.values)):
         prev_b = b[i - 1] if i > 0 else 0
@@ -582,15 +584,9 @@ def example31_report(config: Example31Config = Example31Config()) -> DiagnosticR
         if i > 0 and not ok:
             failures.append(f"bound fails at block {i + 1}")
 
-    seg_x = system.orbit_segment(x, b[-1])
-    seg_y = system.orbit_segment(y, b[-1])
-    rho_x = _distance_to_fixed_segment(empirical_measure(seg_x), system,
-                                       config.k_grid_step)
-    rho_y = _distance_to_fixed_segment(empirical_measure(seg_y), system,
-                                       config.k_grid_step)
-
-    omx = omega_hat_estimate(system, x, schedule, config.cluster_tol)
-    omy = omega_hat_estimate(system, y, schedule, config.cluster_tol)
+    rho_x, rho_y = (_distance_to_fixed_segment(empirical_measure(seg), system,
+                                               config.k_grid_step) for seg in (seg_x, seg_y))
+    omx, omy = (_tail_clusters(seg, schedule, config.cluster_tol) for seg in (seg_x, seg_y))
     rho_h = hausdorff_measures(omx, omy, system)
 
     report.summary["rho_x_to_segment"] = rho_x

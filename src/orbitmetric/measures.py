@@ -4,28 +4,29 @@ The measures here are finitely supported probability measures whose atoms
 are system states (numbers, symbol windows, or pairs).  Three distances are
 provided: exact Wasserstein-1, by the assignment solver for two uniform
 measures of equal support size and otherwise by the transportation LP, solved
-by column generation; exact closed-form Wasserstein-1 on the line and the
-circle (``_w1_line``, ``_w1_circle``, which ``pseudometrics`` also runs for
-ebar_n on the merged sort of two orbits); and the exact one-sided Prokhorov
-metric.  Prokhorov runs one monotone search over the thresholds
+by column generation; exact closed-form Wasserstein-1 on the line, circle and
+shift (``_w1_line``, ``_w1_circle``, ``_w1_shift``, which ``pseudometrics``
+runs for ebar_n on the merged sort of two orbits); and the exact one-sided
+Prokhorov metric.  Prokhorov runs one monotone search over the thresholds
 (``_breakpoint_search``) on every geometry, and ``_unsent``, the one choice
 of a rule by geometry, gives the mass left unsent: the shift sums the
-surplus over the cylinders of its ultrametric (``_cylinder_surplus``), the
+surplus over the cylinders of its ultrametric (``_cylinder_unsent``), the
 line runs a greedy sweep (``_line_unsent``), the circle one recurrence over
 the arcs within reach of each atom (``_arc_unsent``), and products a maximum
 flow (``_flow_unsent``), all in the mass unit ``_masses`` picks: integer
 counts when both measures keep them (empirical measures do), so the value
 is correctly rounded, and float weights otherwise, where products solve
-each flow as one HiGHS LP.  ``prokhorov_oracle`` and the float flow check
-the other routes.  def, the unsent mass over the total, changes only at
-support distances, so ``omega_hat_estimate`` tests rho <= c as def(c) <= c.
-Delta_n of two length-n orbits is n times the deficiency of their
-empirical measures, and ``pseudometrics`` counts it with ``_unsent`` too.
-Distances read atoms only through ``DiscreteMeasure.states``, validated once
-per system.  Empirical measures, products included, start with their orbit's
-distinct states, taken from one sort of the full orbit that every prefix
-shares, and build the ``atoms`` tuple only when it is read, which only the
-oracles do.
+each flow as one HiGHS LP.  Every shift quantity reads one primitive, the
+masses summed over the cylinders of a level (``_cylinder_sums``).
+``prokhorov_oracle`` and the float flow check the other routes.  def, the
+unsent mass over the total, changes only at support distances, so
+``omega_hat_estimate`` tests rho <= c as def(c) <= c.  Delta_n of two
+length-n orbits is n times the deficiency of their empirical measures, and
+``pseudometrics`` counts it with ``_unsent`` too.  Distances read atoms only
+through ``DiscreteMeasure.states``, validated once per system.  Empirical
+measures, products included, start with their orbit's distinct states, taken
+from one sort of the full orbit that every prefix shares, and build the
+``atoms`` tuple only when it is read, which only the oracles do.
 """
 from __future__ import annotations
 
@@ -430,6 +431,22 @@ def _w1_circle(pts: np.ndarray, signed: np.ndarray) -> float:
     return float(np.abs(g, out=g) @ lengths)
 
 
+def _w1_shift(split: np.ndarray, signed: np.ndarray, horizon: int) -> float:
+    """W1 on the shift of horizon K, from the merged windows of both measures
+    in the order of ``_cylinder_order``, given by its ``split``, and their
+    masses ``signed`` as for ``_w1_line``.  In the ultrametric's tree each
+    length-k cylinder adds its imbalance times its edge; levels k..K change
+    only at k = s + 1 for the splits s of ``_cuts``, and their edges sum to
+    2**(K - k) units of 2**-K.  Integer masses (counts) keep the sum exact
+    until one rounding."""
+    units = imbalance = 0  # units in 2**-horizon
+    for s in _cuts(split, horizon).tolist():
+        level = int(np.abs(_cylinder_sums(signed, split, s + 1)).sum())
+        units += (level - imbalance) << horizon - 1 - s
+        imbalance = level
+    return float(units) * 2.0 ** -horizon
+
+
 def _cylinder_order(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stable lexicographic order of a stack of 0/1 windows of length K, and
     ``split``: where each neighbouring pair in that order first differs (K if
@@ -441,6 +458,19 @@ def _cylinder_order(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                        kind="stable")
     differ = np.diff(windows[order], axis=0) != 0
     return order, np.where(differ.any(axis=1), differ.argmax(axis=1), K)
+
+
+def _cylinder_sums(mass: np.ndarray, split: np.ndarray, k: int) -> np.ndarray:
+    """The sums of ``mass`` over the length-k cylinders, along its last axis,
+    whose windows are in the order of ``_cylinder_order`` with its ``split``."""
+    starts = np.concatenate([[0], np.flatnonzero(split < k) + 1])
+    return np.add.reduceat(mass, starts, axis=-1)
+
+
+def _cuts(split: np.ndarray, horizon: int) -> np.ndarray:
+    """The splits s < horizon present, ascending: 2**-s over them are the
+    positive distances among the windows, each pair's at its least split."""
+    return np.flatnonzero(np.bincount(split, minlength=horizon + 1)[:horizon])
 
 
 def _weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
@@ -478,10 +508,10 @@ def prokhorov(mu: DiscreteMeasure, nu: DiscreteMeasure,
 
     * shift: the window metric is an ultrametric, so def(t) sums the surplus
       mass of mu over the cylinders of level ``BinaryShift._level`` of t
-      (``_shift_deficiency``), every level from one sort of the atoms, with
-      no flow network; the thresholds are every window distance 2**-k,
-      k < horizon, a superset of the support distances that leaves the least
-      value unchanged, so no distance matrix is built;
+      (``_cylinder_unsent``), with no flow network; one sort of both
+      measures' atoms gives every level and the thresholds, the distances
+      among the atoms (``_cuts``), a superset of the support distances, so
+      no distance matrix is built;
     * line: a greedy sweep over the sorted atoms of both measures
       (``_line_unsent``);
     * circle: the atoms of nu within t of an atom of mu form one circular run
@@ -497,10 +527,12 @@ def prokhorov(mu: DiscreteMeasure, nu: DiscreteMeasure,
     """
     wa, wb, total = _masses(mu, nu)
     sa, sb = mu.states(system), nu.states(system)
-    D = None if system.geometry == _systems.GEOMETRY_SHIFT else system._kernel_matrix(sa, sb)
-    unsent = _unsent(system, sa, wa, sb, wb, D)
-    return _breakpoint_search(system._distances if D is None else D,
-                              lambda t: unsent(t) / total)
+    if system.geometry == _systems.GEOMETRY_SHIFT:
+        D, unsent = _cylinder_unsent(system, sa, wa, sb, wb)
+    else:
+        D = system._kernel_matrix(sa, sb)
+        unsent = _unsent(system, sa, wa, sb, wb, D)
+    return _breakpoint_search(D, lambda t: unsent(t) / total)
 
 
 def _unsent(system: _systems.System, sa, wa: np.ndarray, sb, wb: np.ndarray, D=None):
@@ -510,8 +542,7 @@ def _unsent(system: _systems.System, sa, wa: np.ndarray, sb, wb: np.ndarray, D=N
     circle and products read the distance matrix ``D`` of ``sa`` against
     ``sb``, built here unless given; the line and the shift read none."""
     if system.geometry == _systems.GEOMETRY_SHIFT:
-        surplus = _shift_deficiency(system, sa, wa, sb, wb[:, None])
-        return lambda t: surplus(t)[0]
+        return _cylinder_unsent(system, sa, wa, sb, wb)[1]
     if system.geometry == _systems.GEOMETRY_LINE:
         sides = (sa.tolist(), wa.tolist(), sb.tolist(), wb.tolist())
         return lambda t: _line_unsent(*sides, t)
@@ -585,32 +616,17 @@ def _flow_unsent(D: np.ndarray, wa: np.ndarray, wb: np.ndarray):
     return unsent
 
 
-def _shift_deficiency(system: _systems.BinaryShift, sa: np.ndarray, wa: np.ndarray,
-                      sb: np.ndarray, wb: np.ndarray):
-    """The rule t -> the mass of mu (windows ``sa``, masses ``wa``) left
-    unsent to each nu on the windows ``sb`` whose masses are a column of
-    ``wb``, as an array; it changes only at the window distances
-    ``system._distances``.
-
-    The pairs within t join each cylinder of level ``system._level`` of t to
-    itself, so that mass is the sum over those cylinders C of (mu(C) - nu(C))+.
-    """
+def _cylinder_unsent(system: _systems.BinaryShift, sa: np.ndarray, wa: np.ndarray,
+                     sb: np.ndarray, wb: np.ndarray):
+    """The thresholds (``_cuts``) and the rule t -> the mass of ``wa`` on the
+    windows ``sa`` left unsent to ``wb`` on ``sb``, from one sort of both:
+    the pairs within t join each cylinder C of level ``BinaryShift._level``
+    of t to itself, so that mass sums (wa(C) - wb(C))+.  2-d masses hold one
+    pair of measures per row, and the rule gives one mass per row."""
     order, split = _cylinder_order(np.concatenate([sa, sb]))
-    # one row per measure: a row sums pairwise as a 1-d array does; a column would not
-    mass = np.zeros((1 + wb.shape[1], len(wa) + len(wb)), dtype=np.result_type(wa, wb))
-    mass[0, :len(wa)], mass[1:, len(wa):] = wa, wb.T
-    mass = mass[:, order]
-    return lambda t: _cylinder_surplus(mass, split, system._level(t, system.horizon))
-
-
-def _cylinder_surplus(mass: np.ndarray, split: np.ndarray, k: int) -> np.ndarray:
-    """Sum over the length-k cylinders C of (mass[0](C) - mass[r](C))+, for
-    each later row r: the mass of row 0 that a maximum flow to row r along
-    the pairs within 2**-k leaves unsent.  Columns are windows in the order
-    of ``_cylinder_order``, and ``split`` is its second output."""
-    starts = np.concatenate([[0], np.flatnonzero(split < k) + 1])
-    cylinders = np.add.reduceat(mass, starts, axis=1)
-    return np.maximum(cylinders[0] - cylinders[1:], 0).sum(axis=1)
+    K, signed = system.horizon, np.concatenate([wa, -wb], axis=-1)[..., order]
+    return (np.ldexp(1.0, -_cuts(split, K)),
+            lambda t: np.maximum(_cylinder_sums(signed, split, system._level(t, K)), 0).sum(-1))
 
 
 def _line_unsent(xs: list, ws: list, ys: list, vs: list, t: float):

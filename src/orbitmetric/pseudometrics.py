@@ -11,13 +11,14 @@ cardinalities.  delta_n runs ``prokhorov``'s deficiency rule
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import matching
 from . import systems as _systems
 from .errors import SizeLimitError
-from .measures import Schedule, _cylinder_order, _unsent, _w1_circle, _w1_line
+from .measures import Schedule, _cylinder_order, _unsent, _w1_circle, _w1_line, _w1_shift
 
 # exact assignment builds a dense n x n float64 cost matrix (32 MB at the cap)
 # for the compiled solver; products, which have no closed form, stop here
@@ -139,19 +140,13 @@ def _totals(system: _systems.System, seg_x: _systems.OrbitSegment,
     canonical order first, so swapping x and y reproduces the identical
     computation and ebar_n is exactly symmetric.
 
-    Line and circle: n * W1 by _w1_line and _w1_circle, whose CDF difference
-    is an integer count of signs, so its sums are exact and the order among
-    tied points cannot change them; no stable order is needed.
-
-    Shift: n * W1 between the window empiricals by cylinder counting.  The
-    window metric is an ultrametric, so the transport optimum has the closed
-    tree form: every length-k cylinder contributes its occupancy imbalance
-    times that level's edge length.  The matching identity makes this equal
-    to the minimum assignment total.  All counts are integers and all
-    lengths are dyadic, so the accumulation below is exact.  Cylinders
-    change only at the levels k = s + 1 of the splits s < K present, and the
-    edge lengths of levels k..K sum to 2**(K - k) units of 2**-K, so each
-    such level adds its growth in total imbalance times 2**(K - k).
+    Line, circle and shift: n * W1 by _w1_line, _w1_circle and _w1_shift on
+    the merged sort of ``_prefix_sorts``, with signs +1 and -1.  Each counts
+    in integers (the CDF difference on the line and circle, the cylinder
+    imbalance on the shift), so its sums are exact and the order among tied
+    points cannot change them; no stable order is needed.  _w1_line and
+    _w1_circle are looked up in this module at each call, so a rebinding of
+    either here takes effect.
 
     Products have no closed form: the exact assignment total on the leading
     n x n block of one cost matrix, whose cap ASSIGNMENT_CAP ``_segments``
@@ -163,21 +158,12 @@ def _totals(system: _systems.System, seg_x: _systems.OrbitSegment,
     if geometry not in _FAST_GEOMETRIES:
         C = _systems.cost_matrix(seg_x, seg_y).entries
         return [matching.min_cost_assignment(C[:n, :n])[1] for n in checkpoints]
-    totals = []
-    for n, signs, key in _prefix_sorts(system, seg_x, seg_y, checkpoints):
-        if geometry != _systems.GEOMETRY_SHIFT:
-            w1 = _w1_line if geometry == _systems.GEOMETRY_LINE else _w1_circle
-            totals.append(w1(key, signs))
-            continue
-        K = system.horizon
-        units = imbalance = 0  # units in 2**-K
-        for k in (np.flatnonzero(np.bincount(key, minlength=K)[:K]) + 1).tolist():
-            starts = np.concatenate([[0], np.flatnonzero(key < k) + 1])
-            level = int(np.abs(np.add.reduceat(signs, starts)).sum())
-            units += (level - imbalance) << K - k
-            imbalance = level
-        totals.append(float(units) * 2.0 ** -K)
-    return totals[::-1]
+    if geometry == _systems.GEOMETRY_SHIFT:
+        w1 = partial(_w1_shift, horizon=system.horizon)
+    else:
+        w1 = _w1_line if geometry == _systems.GEOMETRY_LINE else _w1_circle
+    sorts = _prefix_sorts(system, seg_x, seg_y, checkpoints)
+    return [w1(key, signs) for _, signs, key in sorts][::-1]
 
 
 def _ebar_values(system: _systems.System, seg_x: _systems.OrbitSegment,

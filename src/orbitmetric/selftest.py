@@ -84,9 +84,9 @@ def _check_closed_forms(rng: np.random.Generator) -> str | None:
 
 
 def _check_prokhorov(rng: np.random.Generator) -> str | None:
-    # one system per deficiency rule: line sweep, the circle's arc rule on
-    # float weights, shift cylinder surplus; then the arc rule on the
-    # circle's counts against the flow LP
+    # one system per deficiency rule on float weights: line sweep, the
+    # circle's arc rule, shift cylinder surplus; then the arc rule and the
+    # cylinder surplus on counts against the flow LP
     routes = [("line sweep", systems.DoublingMap(), lambda k: rng.random(k)),
               ("circle arc rule", systems.CircleRotation(alpha=0.3), lambda k: rng.random(k)),
               ("shift cylinder surplus", systems.BinaryShift(3),
@@ -101,15 +101,18 @@ def _check_prokhorov(rng: np.random.Generator) -> str | None:
             if gap > 1e-9:
                 return f"{rule} vs subset oracle off by {gap:.2e}"
     # fixed orbit prefixes (no random draws), against the flow LP, whose
-    # unsent mass is in the unit of the weights, total 1
-    rot = systems.CircleRotation(alpha=0.6180339887)
-    mu = measures.empirical_measure(rot.orbit_segment(0.1, 90))
-    nu = measures.empirical_measure(rot.orbit_segment(0.1, 200))
-    D = rot.pairwise_dist(mu.atoms, nu.atoms)
-    lp_flow = measures._breakpoint_search(D, measures._flow_unsent(D, mu.weights, nu.weights))
-    gap = abs(measures.prokhorov(mu, nu, rot) - lp_flow)
-    if gap > 1e-12:
-        return f"counted circle arc rule vs flow LP off by {gap:.2e}"
+    # unsent mass is in the unit of the weights, total 1; the shift point is
+    # 64 Thue-Morse symbols and then a period-3 tail
+    thue_morse = "".join(str(bin(k).count("1") % 2) for k in range(64))
+    shift_point = systems.ShiftPoint.from_string(thue_morse, "011")
+    for system, x in ((systems.CircleRotation(alpha=0.6180339887), 0.1),
+                      (systems.BinaryShift(30), shift_point)):
+        mu, nu = (measures.empirical_measure(system.orbit_segment(x, n)) for n in (90, 200))
+        D = system.pairwise_dist(mu.atoms, nu.atoms)
+        lp_flow = measures._breakpoint_search(D, measures._flow_unsent(D, mu.weights, nu.weights))
+        gap = abs(measures.prokhorov(mu, nu, system) - lp_flow)
+        if gap > 1e-12:
+            return f"counted {system.kind} rule vs flow LP off by {gap:.2e}"
     a, b = measures.DiscreteMeasure.dirac(0.1), measures.DiscreteMeasure.dirac(0.9)
     if measures.prokhorov(a, b, systems.DoublingMap()) != 0.8:
         return "dirac pair is not exact"

@@ -540,11 +540,6 @@ class BinaryShift(System):
         d[first == K] = 0.0
         return d
 
-    @property
-    def _distances(self) -> np.ndarray:
-        """Every positive value of ``_kernel``: 2**-k for k < horizon."""
-        return np.ldexp(1.0, -np.arange(self.horizon))
-
     @staticmethod
     def _level(t: float, cap: int) -> int:
         """The least k <= cap with 2**-k <= t, cap if none; under ``_kernel``,

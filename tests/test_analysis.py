@@ -355,6 +355,17 @@ def test_example31_default_blocks():
     assert rep.summary["rho_y_to_segment"] == pytest.approx(2 / 97, abs=1e-15)
 
 
+def test_example31_report_builds_each_orbit_once(monkeypatch):
+    # the matched averages, the distance to the fixed-point segment and the
+    # tail clusters share one orbit segment per point
+    built = []
+    orbit_segment = systems.System.orbit_segment
+    monkeypatch.setattr(systems.System, "orbit_segment",
+                        lambda self, x, n: built.append((x, n)) or orbit_segment(self, x, n))
+    example31_report(Example31Config())
+    assert built == [(build_example31_point(label, "factorial", 6), 873) for label in "UV"]
+
+
 def test_example31_custom_block_rule():
     rep = example31_report(Example31Config(block_rule=(1, 2, 6), n_blocks=3))
     assert [row["n"] for row in rep.observations] == [1, 3, 9]

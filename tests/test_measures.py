@@ -19,6 +19,7 @@ from orbitmetric import (
     Schedule,
     ShiftPoint,
     SizeLimitError,
+    build_example31_point,
     ebar_n,
     empirical_equicontinuity,
     empirical_measure,
@@ -34,7 +35,7 @@ from orbitmetric import (
     wasserstein1,
     wasserstein1_fast_1d,
 )
-from orbitmetric import measures
+from orbitmetric import analysis, measures
 from orbitmetric.measures import ORACLE_SUPPORT_LIMIT
 from orbitmetric.systems import (GEOMETRY_CIRCLE, GEOMETRY_LINE, GEOMETRY_PRODUCT, TentMap,
                                  cost_matrix)
@@ -860,6 +861,119 @@ def test_identical_measures_vanish_on_line_and_shift_routes():
     for system in (LogisticMap(4.0), BinaryShift(30), rot, ProductSystem(rot, TentMap())):
         mu = empirical_measure(system.orbit_segment(sample_point(system, rng), 200))
         assert prokhorov(mu, mu, system) == 0.0
+
+
+def _window_mass_cases(rng):
+    """Window stacks at horizons 1, 2, 3, 12 and 30, each with counted and
+    float masses: the windows of an orbit, which repeat at short horizons,
+    and distinct random windows, so that the largest split of their sort
+    lies below the horizon."""
+    for horizon in (1, 2, 3, 12, 30):
+        shift = BinaryShift(horizon)
+        for _ in range(3):
+            seg = shift.orbit_segment(sample_point(shift, rng), int(rng.integers(1, 150)))
+            distinct = np.unique(rng.integers(0, 2, (int(rng.integers(1, 40)), horizon),
+                                              dtype=np.uint8), axis=0)
+            for windows in (shift._view(seg), rng.permutation(distinct)):
+                yield horizon, windows, rng.integers(-5, 6, len(windows))
+                yield horizon, windows, rng.normal(size=len(windows))
+
+
+def test_cylinder_sums_match_windows_grouped_by_their_first_symbols():
+    # every level k <= K against a dict keyed by the first k symbols, whose
+    # sorted keys are the cylinders in lexicographic order; the levels
+    # present are the least differing index over every pair of distinct windows
+    below = 0
+    for horizon, windows, mass in _window_mass_cases(np.random.default_rng(61)):
+        order, split = measures._cylinder_order(windows)
+        rows = [tuple(r) for r in windows.tolist()]
+        below += bool(len(split)) and int(split.max()) < horizon
+        for k in range(horizon + 1):
+            groups = {}
+            for row, w in zip(rows, mass.tolist()):
+                groups[row[:k]] = groups.get(row[:k], 0) + w
+            want = [groups[key] for key in sorted(groups)]
+            got = measures._cylinder_sums(mass[order], split, k)
+            if mass.dtype.kind == "i":
+                assert got.tolist() == want, (horizon, k)
+            else:
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        firsts = {next(i for i, (a, b) in enumerate(zip(r, q)) if a != b)
+                  for r, q in itertools.combinations(rows, 2) if r != q}
+        assert measures._cuts(split, horizon).tolist() == sorted(firsts)
+    assert below >= 10
+
+
+def test_w1_shift_reads_every_level_present_against_assignment():
+    # n windows against n on the cylinder tree, signs +1 and -1, give the
+    # assignment total; distinct windows leave the largest split below K,
+    # where dropping the top level of the splits present changes the total
+    rng = np.random.default_rng(62)
+    for horizon in (1, 2, 3, 8, 12, 30):
+        shift = BinaryShift(horizon)
+        for _ in range(4):
+            n = int(rng.integers(1, 30))
+            seg_x, seg_y = (shift.orbit_segment(sample_point(shift, rng), n) for _ in range(2))
+            codes = rng.choice(2 ** horizon, 2 * min(n, 2 ** (horizon - 1)), replace=False)
+            distinct = ((codes[:, None] >> np.arange(horizon)[::-1]) & 1).astype(np.uint8)
+            half = len(distinct) // 2
+            for X, Y in ((shift._view(seg_x), shift._view(seg_y)),
+                         (distinct[:half], distinct[half:])):
+                order, split = measures._cylinder_order(np.concatenate([X, Y]))
+                got = measures._w1_shift(split, np.where(order < len(X), 1, -1), horizon)
+                want = min_cost_assignment(shift._kernel_matrix(X, Y))[1]
+                assert got == want, (horizon, len(X))
+            assert (split < horizon).all()
+
+
+def test_shift_prokhorov_sorts_once_and_probes_distances_among_the_atoms(monkeypatch):
+    # prokhorov and example31's distance to the fixed-point segment each sort
+    # their windows once, and search exactly the distances among the atoms
+    rng = np.random.default_rng(63)
+    cases = []
+    for horizon in (1, 3, 12, 30):
+        shift = BinaryShift(horizon)
+        for _ in range(4):
+            mu, nu = (empirical_measure(shift.orbit_segment(
+                sample_point(shift, rng), int(rng.integers(5, 200)))) for _ in range(2))
+            cases.append((shift, mu, nu, list(nu.atoms)))
+        floats = DiscreteMeasure(nu.atoms, rng.dirichlet(np.ones(nu.support_size)))
+        cases.append((shift, mu, floats, list(floats.atoms)))
+    config = Example31Config(n_blocks=5)
+    shift = BinaryShift(config.shift_horizon)
+    x = build_example31_point("U", config.block_rule, config.n_blocks)
+    meas = empirical_measure(shift.orbit_segment(x, sum(config.lengths())))
+    ends = [(0,) * shift.horizon, (1,) * shift.horizon]
+    cases.append((shift, meas, None, ends))
+
+    sorts, searches = [], []
+    cylinder_order, search = measures._cylinder_order, measures._breakpoint_search
+
+    def spy_order(windows):
+        sorts.append(len(windows))
+        return cylinder_order(windows)
+
+    def spy_search(D, deficiency):
+        probed = []
+        searches.append((set(np.ravel(D).tolist()), probed))
+        return search(D, lambda t: probed.append(float(t)) or deficiency(t))
+    monkeypatch.setattr(measures, "_cylinder_order", spy_order)
+    monkeypatch.setattr(measures, "_breakpoint_search", spy_search)
+    monkeypatch.setattr(analysis, "_breakpoint_search", spy_search)
+    assert not hasattr(BinaryShift, "_distances")
+    for system, mu, nu, others in cases:
+        sorts.clear()
+        searches.clear()
+        if nu is None:
+            analysis._distance_to_fixed_segment(mu, system, 0.01)
+        else:
+            prokhorov(mu, nu, system)
+        atoms = list(mu.atoms) + others
+        present = set(system.pairwise_dist(atoms, atoms).ravel().tolist())
+        assert sorts == [len(atoms)]
+        ((thresholds, probed),) = searches
+        assert thresholds == present - {0.0}
+        assert probed and set(probed) <= present | {0.0}
 
 
 def test_prokhorov_of_equal_length_empiricals_is_least_threshold_fraction():
