@@ -5,7 +5,9 @@ solver, ``brute_force_assignment`` is the independent enumeration oracle for
 small n.  ``max_matching_under_threshold`` (the oracle of Delta_n) and
 ``birkhoff_decompose`` need a maximum matching on a 0/1 mask; they get it
 from the same solver run on 0/1 costs, and ``birkhoff_decompose`` peels a
-bistochastic matrix into a convex combination of permutations.
+bistochastic matrix into a convex combination of permutations.  scipy's
+solver is imported on first call, so a process that never assigns does not
+load ``scipy.optimize``.
 """
 from __future__ import annotations
 
@@ -13,7 +15,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DecompositionFailureError, NotBistochasticError, SizeLimitError
 
@@ -85,6 +86,7 @@ def min_cost_assignment(cost) -> tuple[Permutation, float]:
     several permutations are optimal (cost ties), the one returned may differ
     from another exact solver's choice, but the total cannot.
     """
+    from scipy.optimize import linear_sum_assignment
     C = _cost_entries(cost)
     rows, perm = linear_sum_assignment(C)
     total = float(C[rows, perm].sum())
@@ -116,6 +118,7 @@ def _mask_matching(mask: np.ndarray) -> tuple[int, np.ndarray]:
     (König-Egerváry).  When the size is n, the map is a perfect matching on
     the mask.
     """
+    from scipy.optimize import linear_sum_assignment
     A = (~mask).astype(np.float64)
     rows, cols = linear_sum_assignment(A)
     return mask.shape[0] - int(A[rows, cols].sum()), cols

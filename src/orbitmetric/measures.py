@@ -26,21 +26,24 @@ length-n orbits is n times the deficiency of their empirical measures, and
 through ``DiscreteMeasure.states``, validated once per system.  Empirical
 measures, products included, start with their orbit's distinct states, taken
 from one sort of the full orbit that every prefix shares, and build the
-``atoms`` tuple only when it is read, which only the oracles do.
+``atoms`` tuple only when it is read, which only the oracles do.  scipy's
+solvers (the LP, the sparse matrices and the max flow) are imported on first
+call, so the closed forms, sweeps, arcs and cylinders run without scipy.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
-from scipy.sparse.csgraph import maximum_flow
 
 from .errors import SizeLimitError
 from . import matching as _matching
 from . import systems as _systems
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 ORACLE_SUPPORT_LIMIT = 12
 
@@ -54,6 +57,18 @@ _INT_FLOW_LIMIT = 2 ** 31
 _W1_SEED_NEIGHBOURS = 16
 # a pair whose reduced cost falls below minus this joins the restricted W1 LP
 _W1_PRICE_TOL = 1e-12
+
+
+def linprog(*args, **kwargs):
+    """scipy's ``linprog``, imported on first call."""
+    from scipy.optimize import linprog
+    return linprog(*args, **kwargs)
+
+
+def maximum_flow(*args, **kwargs):
+    """scipy's ``maximum_flow``, imported on first call."""
+    from scipy.sparse.csgraph import maximum_flow
+    return maximum_flow(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +372,7 @@ def _pair_incidence(rows: np.ndarray, cols: np.ndarray, m: int, n: int) -> spars
     """The (m + n) x k matrix whose column k has a one in row rows[k] and in
     row m + cols[k]: the supply and demand rows that the pair (rows[k],
     cols[k]) of an m x n transport or flow problem enters."""
+    from scipy import sparse
     return sparse.csc_array((np.ones(2 * len(rows)), np.stack([rows, m + cols], axis=1).ravel(),
                              np.arange(0, 2 * len(rows) + 1, 2)), shape=(m + n, len(rows)))
 
@@ -605,6 +621,8 @@ def _flow_unsent(D: np.ndarray, wa: np.ndarray, wb: np.ndarray):
     # node 0 is the source, 1..m the atoms of mu, m+1..m+n those of nu
 
     def unsent(t: float):
+        # imported here, not above: the circle builds this probe as a fallback it rarely calls
+        from scipy import sparse
         rows, cols = np.nonzero(D <= t)
         degrees = np.concatenate([[m], np.bincount(rows, minlength=m), np.ones(n, int), [0]])
         indptr = np.concatenate([[0], np.cumsum(degrees)])

